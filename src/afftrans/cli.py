@@ -57,7 +57,7 @@ def _weight_arg(text: str):
             except (ValueError, ZeroDivisionError):
                 raise argparse.ArgumentTypeError(
                     f"malformed weight {text!r}: bad entry {tok!r}") from None
-    return tuple(coords)
+    return Weight(coords)
 
 
 def _resolve_level(args, rs: RootSystem):
@@ -253,13 +253,12 @@ def _cmd_orbit(args) -> int:
     rs = args.type
     level = _resolve_level(args, rs)
     _warn_lattice(rs, level)
-    wt = Weight(args.weight)
     if level is None:
-        rows = [[("weight", w)] for w in sorted(weyl.orbit(rs, wt))]
+        rows = [[("weight", w)] for w in sorted(weyl.orbit(rs, args.weight))]
     else:
         if args.bound is None:
             raise UsageError("orbit enumeration at a level requires --bound")
-        pairs = affine.dominant_orbit(rs, wt, level, args.bound)
+        pairs = affine.dominant_orbit(rs, args.weight, level, args.bound)
         rows = [[("weight", nu), ("g", _element_text(rs, g))]
                 for g, nu in pairs]
     return _emit(rows, args.format)
@@ -269,7 +268,7 @@ def _cmd_alcove(args) -> int:
     rs = args.type
     level = _require_level(args, rs)
     _warn_lattice(rs, level)
-    rep, g, regular = affine.alcove_rep(rs, Weight(args.weight), level)
+    rep, g, regular = affine.alcove_rep(rs, args.weight, level)
     row = [("rep", rep), ("g", _element_text(rs, g)), ("regular", regular)]
     return _emit([row], args.format)
 
@@ -286,7 +285,7 @@ def _cmd_tensor(args) -> int:
     rs = args.type
     cap = _resolve_cap(args)
     op = finchar.tensor_oracle if args.oracle else finchar.tensor_decompose
-    parts = op(rs, Weight(args.lam), Weight(args.mu), cap=cap)
+    parts = op(rs, args.lam, args.mu, cap=cap)
     rows = [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
     return _emit(rows, args.format)
 
@@ -295,11 +294,9 @@ def _cmd_filtration(args) -> int:
     rs = args.type
     cap = _resolve_cap(args)
     if args.verma:
-        parts = translate.verma_filtration(rs, Weight(args.lam),
-                                           Weight(args.mu), cap=cap)
+        parts = translate.verma_filtration(rs, args.lam, args.mu, cap=cap)
     else:
-        parts = translate.kl_weyl_filtration(rs, Weight(args.lam),
-                                             Weight(args.mu), cap=cap)
+        parts = translate.kl_weyl_filtration(rs, args.lam, args.mu, cap=cap)
     rows = [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
     return _emit(rows, args.format)
 
@@ -309,8 +306,7 @@ def _cmd_datum(args) -> int:
     level = _require_level(args, rs)
     _warn_lattice(rs, level)
     try:
-        translate.check_datum(rs, Weight(args.lam_left), Weight(args.lam_right),
-                              Weight(args.lam), level)
+        translate.check_datum(rs, args.lam_left, args.lam_right, args.lam, level)
     except DatumInvalidError as exc:
         return _emit([[("valid", False), ("reason", str(exc))]], args.format)
     return _emit([[("valid", True)]], args.format)
@@ -323,7 +319,7 @@ def _cmd_translate_weyl(args) -> int:
     cap = _resolve_cap(args)
     g = _parse_element(rs, level, args.element)
     op = translate.translate_verma if args.verma else translate.translate_weyl
-    image = op(rs, g, Weight(args.src), Weight(args.dst), level, cap=cap)
+    image = op(rs, g, args.src, args.dst, level, cap=cap)
     return _emit([[("image", image)]], args.format)
 
 
@@ -332,8 +328,8 @@ def _cmd_translate_char(args) -> int:
     level = _require_level(args, rs)
     _warn_lattice(rs, level)
     coeffs = _parse_char_terms(rs, level, args.char)
-    chi = translate.make_character(rs, Weight(args.src), coeffs, level)
-    out = translate.translate_character(rs, chi, Weight(args.dst))
+    chi = translate.make_character(rs, args.src, coeffs, level)
+    out = translate.translate_character(rs, chi, args.dst)
     saff = affine.theta_wall_reflection(rs, level)
     terms = []
     for g, c in out.coeffs.items():
@@ -353,7 +349,7 @@ def _cmd_verify_lemma(args) -> int:
     _warn_lattice(rs, level)
     g = _parse_element(rs, level, args.element)
     verdict = translate.verify_weight_geometry(
-        rs, Weight(args.lam), Weight(args.mu), g, level, args.bound)
+        rs, args.lam, args.mu, g, level, args.bound)
     return _emit([[("verified", verdict)]], args.format)
 
 
@@ -382,11 +378,10 @@ def _cmd_transport(args) -> int:
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
-    target = Weight(args.to)
-    moved = annihilator.transport(rs, labels, target)
+    moved = annihilator.transport(rs, labels, args.to)
     rows = []
     for g in sorted(moved.generators, key=lambda g: _sort_key(rs, g)):
-        image = affine.affine_apply(rs, g, target, level)
+        image = affine.affine_apply(rs, g, args.to, level)
         rows.append([("g", _element_text(rs, g)), ("image", image)])
     return _emit(rows, args.format)
 
@@ -498,6 +493,9 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        for value in vars(args).values():  # every parsed weight argument
+            if isinstance(value, Weight) and len(value) != args.type.rank:
+                raise UsageError(f"weight {value} has wrong rank for {args.type.spec}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,22 +6,20 @@ and tensor-product decomposition by the signed-reflection (Racah) rule.
 multiply the two characters as lattice polynomials, then strip highest
 weights greedily — and is used to cross-check the fast path.
 
-All arithmetic is exact: rationals via ``fractions.Fraction``, character
-convolution via big-integer packing (never floating point).
+All arithmetic is in exact integers: the form scaled by ``RootSystem.form_den``,
+character convolution via big-integer packing (never floating point).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from . import weyl
 from .errors import DimensionCapError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, bilinear, root_coords
+from .rootsys import RootSystem, Weight, _form_numerator, root_coords
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
@@ -59,33 +57,18 @@ def dimension(rs: RootSystem, lam) -> int:
 
 
 @lru_cache(maxsize=None)
-def _form_scale(rs: RootSystem) -> int:
-    """Smallest positive integer clearing the form denominators on P x P."""
-    dens = {Fraction(v).denominator for row in rs.form for v in row}
-    return lcm(*dens)
-
-
-@lru_cache(maxsize=None)
 def _root_data(rs: RootSystem):
     """Per positive root: (fundamental coords, coroot row, scaled (alpha,alpha)/2).
 
-    The last entry is ``_form_scale(rs) * (alpha, alpha) / 2``, always an
+    The last entry is ``rs.form_den * (alpha, alpha) / 2``, always an
     integer; using it keeps the Freudenthal recursion in pure integers.
     """
-    scale = _form_scale(rs)
     out = []
     for alpha, row in zip(rs.positive_roots, rs.coroot_rows):
-        half = Fraction(bilinear(rs, alpha, alpha), 2) * scale
-        assert half.denominator == 1
-        out.append((alpha, row, int(half)))
+        half, odd = divmod(_form_numerator(rs, alpha, alpha), 2)
+        assert not odd
+        out.append((alpha, row, half))
     return tuple(out)
-
-
-def _scaled_norm2(rs: RootSystem, coords) -> int:
-    """``_form_scale(rs) * (coords, coords)`` as an exact integer."""
-    val = Fraction(bilinear(rs, coords, coords)) * _form_scale(rs)
-    assert val.denominator == 1
-    return int(val)
 
 
 def _dominant_below(rs: RootSystem, lam: Weight):
@@ -120,7 +103,8 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
     """
     table: dict = {}
     roots = _root_data(rs)
-    lam_rho_sq = _scaled_norm2(rs, [c + 1 for c in lam])
+    lam_rho = [c + 1 for c in lam]
+    lam_rho_sq = _form_numerator(rs, lam_rho, lam_rho)
     suffix: list[dict] = [{} for _ in roots]
     for drop, nu in _dominant_below(rs, lam):
         if not any(drop):
@@ -145,7 +129,8 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
                 value += term
                 memo[y] = value
             total += value
-        denom = lam_rho_sq - _scaled_norm2(rs, [c + 1 for c in nu])
+        nu_rho = [c + 1 for c in nu]
+        denom = lam_rho_sq - _form_numerator(rs, nu_rho, nu_rho)
         m_nu, rem = divmod(2 * total, denom)
         assert rem == 0 and m_nu > 0, (lam, nu)
         table[nu] = m_nu

@@ -1,7 +1,8 @@
 """Exact root-system data for the simple Lie types A-G.
 
-All weights live in the fundamental-weight basis and all arithmetic is done
-with ``fractions.Fraction`` (integer entries are normalised to ``int``); no
+All weights live in the fundamental-weight basis.  The core computes in
+integers (rational matrices are kept scaled over one common denominator);
+``fractions.Fraction`` appears only for non-integral weights, and no
 floating point is used anywhere.  Nodes are numbered as in Bourbaki and the
 invariant bilinear form is normalised so that long roots have squared length 2.
 """
@@ -12,13 +13,17 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InvalidRootSystemError
 
 Scalar = "int | Fraction"
+_INT_ONLY = frozenset({int})
 
 
 def _exact(value) -> int | Fraction:
+    if type(value) is int:
+        return value
     # Floats are rejected outright: exactness is a hard invariant of Weight.
     if isinstance(value, float):
         raise TypeError(f"floating point coordinate {value!r} is not allowed")
@@ -37,7 +42,10 @@ class Weight(tuple):
     __slots__ = ()
 
     def __new__(cls, coords):
-        return super().__new__(cls, (_exact(c) for c in coords))
+        wt = super().__new__(cls, coords)
+        if _INT_ONLY.issuperset(map(type, wt)):
+            return wt
+        return super().__new__(cls, map(_exact, wt))
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -205,6 +213,11 @@ class RootSystem:
     form: tuple[tuple[Fraction, ...], ...]
     # Derived lookup tables (same data, different shapes), kept for speed.
     inv_cartan: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    # inv_cartan and form scaled to integers: entry = int_entry / den.
+    inv_cartan_int: tuple[tuple[int, ...], ...] = field(repr=False)
+    inv_cartan_den: int = field(repr=False)
+    form_int: tuple[tuple[int, ...], ...] = field(repr=False)
+    form_den: int = field(repr=False)
     coroot_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     root_index: dict = field(repr=False, hash=False, compare=False)
     negative_root_set: frozenset = field(repr=False, hash=False, compare=False)
@@ -296,6 +309,8 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         root_index[alpha] = idx
         root_index[-alpha] = ~idx  # bitwise-not marks the negative root
     negative_root_set = frozenset(-alpha for alpha, _ in pos)
+    inv_den = lcm(*(x.denominator for row in inv for x in row))
+    form_den = lcm(*(x.denominator for row in form for x in row))
 
     return RootSystem(
         spec=spec,
@@ -308,6 +323,10 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         dual_coxeter=dual_coxeter,
         form=tuple(tuple(row) for row in form),
         inv_cartan=tuple(tuple(row) for row in inv),
+        inv_cartan_int=tuple(tuple(int(x * inv_den) for x in row) for row in inv),
+        inv_cartan_den=inv_den,
+        form_int=tuple(tuple(int(x * form_den) for x in row) for row in form),
+        form_den=form_den,
         coroot_rows=tuple(coroot_rows),
         root_index=root_index,
         negative_root_set=negative_root_set,
@@ -319,26 +338,38 @@ def root_system(text: str) -> RootSystem:
     return build_root_system(RootSystemSpec.parse(text))
 
 
+def _check_rank(rs: RootSystem, wt) -> None:
+    if len(wt) != rs.rank:
+        raise DomainError(f"weight {Weight(wt)} has wrong rank for {rs.spec}")
+
+
+def _divide(num, den: int) -> int | Fraction:
+    """num / den for an int or Fraction numerator: int when exact."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _form_numerator(rs: RootSystem, lam, mu) -> int | Fraction:
+    """``rs.form_den * (lam, mu)``, an integer for integral weights."""
+    total = 0
+    for a, row in zip(lam, rs.form_int):
+        if a:
+            total += a * sum(b * f for b, f in zip(mu, row) if b)
+    return total
+
+
 def bilinear(rs: RootSystem, lam, mu) -> int | Fraction:
     """Invariant bilinear form (lam, mu) in fundamental coordinates."""
-    form = rs.form
-    total = Fraction(0)
-    for i, a in enumerate(lam):
-        if a:
-            row = form[i]
-            total += a * sum(b * row[j] for j, b in enumerate(mu) if b)
-    return int(total) if total.denominator == 1 else total
+    _check_rank(rs, lam)
+    _check_rank(rs, mu)
+    return _divide(_form_numerator(rs, lam, mu), rs.form_den)
 
 
 def root_coords(rs: RootSystem, wt) -> tuple:
     """Coordinates of ``wt`` in the simple-root basis (exact rationals)."""
-    inv = rs.inv_cartan
-    out = []
-    for i in range(rs.rank):
-        c = sum(inv[i][j] * wt[j] for j in range(rs.rank) if wt[j])
-        c = Fraction(c)
-        out.append(int(c) if c.denominator == 1 else c)
-    return tuple(out)
+    _check_rank(rs, wt)
+    den = rs.inv_cartan_den
+    return tuple(_divide(sum(c * x for c, x in zip(row, wt) if x), den)
+                 for row in rs.inv_cartan_int)
 
 
 def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:
@@ -346,6 +377,7 @@ def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:
 
     ``alpha`` must be a root of the system; anything else is an error.
     """
+    _check_rank(rs, lam)
     idx = rs.root_index.get(Weight(alpha) if not isinstance(alpha, Weight) else alpha)
     if idx is None:
         raise DomainError(f"{Weight(alpha)} is not a root of {rs.spec}")
@@ -353,15 +385,11 @@ def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:
     if idx < 0:
         idx, sign = ~idx, -1
     row = rs.coroot_rows[idx]
-    val = sign * sum(c * x for c, x in zip(row, lam) if c)
-    val = Fraction(val)
-    return int(val) if val.denominator == 1 else val
+    return _divide(sign * sum(c * x for c, x in zip(row, lam) if c), 1)
 
 
 def coroot_pairings(rs: RootSystem, lam) -> list:
     """<lam, alpha^vee> for every positive root alpha, in root order."""
-    out = []
-    for row in rs.coroot_rows:
-        val = Fraction(sum(c * x for c, x in zip(row, lam) if c))
-        out.append(int(val) if val.denominator == 1 else val)
-    return out
+    _check_rank(rs, lam)
+    return [_divide(sum(c * x for c, x in zip(row, lam) if c), 1)
+            for row in rs.coroot_rows]

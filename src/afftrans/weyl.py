@@ -78,7 +78,8 @@ def _canonical_from_inverse_rows(rs: RootSystem, minv: list[list]) -> tuple[int,
             return tuple(word)
         for j in range(n):
             col_aj = rs.simple_roots[j]
-            img = Weight(sum(minv[i][k] * col_aj[i] for i in range(n)) for k in range(n))
+            # A plain tuple hashes and compares like the Weight it equals.
+            img = tuple(sum(minv[i][k] * col_aj[i] for i in range(n)) for k in range(n))
             if img in neg:
                 word.append(j)
                 # w <- s_j w, hence w^{-1} <- w^{-1} s_j: only row j moves,

@@ -124,6 +124,18 @@ def test_malformed_weight_names_the_token(capsys):
     assert "bad entry 'x'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("alcove", "A2", "[1]", "--level", "5/1"),
+    ("alcove", "A2", "[1,2,3]", "--level", "5/1"),
+    ("orbit", "A1", "[1,2]"),
+])
+def test_wrong_rank_weight_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: weight ") and err.count("\n") == 1
+    assert "wrong rank" in err
+
+
 def test_malformed_element(capsys):
     code, _, err = run(capsys, "translate-weyl", "A1", "--level", "5/1",
                        "--element", "q9", "--from", "[0]", "--to", "[2]")

@@ -1,0 +1,114 @@
+"""Integer-scaled rootsys arithmetic against a plain Fraction reference.
+
+The library keeps the inverse Cartan matrix and the invariant form as
+integer matrices over one common denominator.  The reference here redoes
+every formula over ``Fraction`` from the Gauss-Jordan inverse and the
+public ``form``; results must agree in value and in type (``int`` exactly
+when the value is integral).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afftrans.rootsys import (
+    Weight,
+    _invert,
+    bilinear,
+    coroot_pairings,
+    pairing,
+    root_coords,
+    root_system,
+)
+
+TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+         + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+         + ["E6", "E7", "E8", "F4", "G2"])
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+integral = st.integers(-6, 6)
+rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _norm(x: Fraction):
+    return int(x) if x.denominator == 1 else x
+
+
+def _same(got, want) -> bool:
+    return (len(got) == len(want)
+            and all(g == w and type(g) is type(w) for g, w in zip(got, want)))
+
+
+def ref_root_coords(rs, wt):
+    inv = _invert([list(row) for row in rs.cartan])
+    return tuple(_norm(sum((Fraction(inv[i][j]) * wt[j] for j in range(rs.rank)), Fraction(0)))
+                 for i in range(rs.rank))
+
+
+def ref_bilinear(rs, lam, mu):
+    return _norm(sum((Fraction(lam[i]) * rs.form[i][j] * mu[j]
+                      for i in range(rs.rank) for j in range(rs.rank)), Fraction(0)))
+
+
+def ref_pairing(rs, lam, alpha):
+    return _norm(2 * Fraction(ref_bilinear(rs, lam, alpha)) / ref_bilinear(rs, alpha, alpha))
+
+
+@st.composite
+def system_and_weights(draw):
+    """A root system with two weights, both integral or both rational."""
+    rs = root_system(draw(st.sampled_from(TYPES)))
+    coord = draw(st.sampled_from([integral, rational]))
+    lam, mu = (Weight(draw(st.lists(coord, min_size=rs.rank, max_size=rs.rank)))
+               for _ in range(2))
+    return rs, lam, mu
+
+
+@SETTINGS
+@given(system_and_weights())
+def test_root_coords_match_fraction_reference(case):
+    rs, lam, _ = case
+    assert _same(root_coords(rs, lam), ref_root_coords(rs, lam))
+
+
+@SETTINGS
+@given(system_and_weights())
+def test_bilinear_matches_fraction_reference(case):
+    rs, lam, mu = case
+    assert _same([bilinear(rs, lam, mu)], [ref_bilinear(rs, lam, mu)])
+
+
+@SETTINGS
+@given(system_and_weights(), st.data())
+def test_pairing_matches_fraction_reference(case, data):
+    rs, lam, _ = case
+    alpha = data.draw(st.sampled_from(rs.positive_roots))
+    alpha = data.draw(st.sampled_from([alpha, -alpha]))
+    assert _same([pairing(rs, lam, alpha)], [ref_pairing(rs, lam, alpha)])
+
+
+@SETTINGS
+@given(system_and_weights())
+def test_coroot_pairings_match_fraction_reference(case):
+    rs, lam, _ = case
+    want = [ref_pairing(rs, lam, alpha) for alpha in rs.positive_roots]
+    assert _same(coroot_pairings(rs, lam), want)
+
+
+@SETTINGS
+@given(system_and_weights())
+def test_weight_arithmetic_matches_fraction_reference(case):
+    _, lam, mu = case
+    assert _same(lam + mu, [_norm(Fraction(a) + b) for a, b in zip(lam, mu)])
+    assert _same(lam - mu, [_norm(Fraction(a) - b) for a, b in zip(lam, mu)])
+    assert _same(-lam, [_norm(-Fraction(a)) for a in lam])
+
+
+def test_halves_sum_to_an_int():
+    half = Weight([Fraction(1, 2), Fraction(-1, 2)])
+    for got in (half + half, half - (-half), -(half * -2)):
+        assert _same(got, [1, -1])

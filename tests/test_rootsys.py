@@ -88,6 +88,20 @@ def test_pairing_requires_a_root():
         pairing(a2, a2.rho, Weight([2, 2]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda rs: root_coords(rs, [1]),
+    lambda rs: root_coords(rs, [1, 2, 3]),
+    lambda rs: bilinear(rs, [1], [1, 1]),
+    lambda rs: bilinear(rs, [1, 1], [1, 1, 1]),
+    lambda rs: pairing(rs, [1], rs.theta),
+    lambda rs: coroot_pairings(rs, [1]),
+    lambda rs: coroot_pairings(rs, [1, 0, 0]),
+])
+def test_wrong_rank_weights_rejected(call):
+    with pytest.raises(DomainError, match="wrong rank for A2"):
+        call(root_system("A2"))
+
+
 def test_bilinear_examples():
     a1 = root_system("A1")
     assert bilinear(a1, Weight([1]), Weight([1])) == Fraction(1, 2)
