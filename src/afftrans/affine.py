@@ -5,18 +5,23 @@ lattice with the finite Weyl group; it acts on weights through the dot
 action ``(t_beta, w) . lam = w . lam + beta``.  The shifted level t = p/q
 represents k + (dual Coxeter number); the fundamental alcove is cut out by
 ``lam + rho`` dominant and ``0 < (lam + rho, theta) < p``.
+
+Every walk into the closed fundamental alcove is :func:`_alcove_walk`: the
+finite dominant walk of :mod:`weyl`, alternated with the reflection through
+the wall ``(lam + rho, theta) = p``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import weyl
 from .errors import DomainError, IterationLimitError
-from .rootsys import RootSystem, Weight, bilinear, root_coords
+from .rootsys import RootSystem, Weight, _as_weight, root_coords
 from .weyl import IDENTITY, WeylElement
 
 _ALCOVE_WALK_CAP = 10 ** 6
@@ -52,14 +57,6 @@ class Level:
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
-
-
-@dataclass(frozen=True)
-class LeveledWeight:
-    """A weight together with the level it lives at."""
-
-    weight: Weight
-    level: Level
 
 
 @dataclass(frozen=True)
@@ -133,26 +130,22 @@ def _theta_height(rs: RootSystem, coords):
     return sum(c * x for c, x in zip(row, coords) if c)
 
 
-def in_fundamental_alcove(rs: RootSystem, lw: LeveledWeight, *, strict: bool = True) -> bool:
-    """Membership of the (closed or open) fundamental alcove."""
-    return _alcove_test(rs, lw.weight, lw.level, strict)
-
-
-def _alcove_test(rs: RootSystem, wt, level: Level, strict: bool) -> bool:
-    shifted = [c + 1 for c in wt]
+def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *,
+                          strict: bool = True) -> bool:
+    """Membership of the open (``strict``) or closed fundamental alcove:
+    ``lam + rho`` dominant (regular when strict) and
+    ``0 < (lam + rho, theta) < p`` (``<=`` when not strict)."""
+    shifted = [c + 1 for c in _as_weight(rs, lam)]
+    height = _theta_height(rs, shifted)
     if strict:
-        if any(c <= 0 for c in shifted):
-            return False
-        return 0 < _theta_height(rs, shifted) < level.p
-    if any(c < 0 for c in shifted):
-        return False
-    return 0 <= _theta_height(rs, shifted) <= level.p
+        return all(c > 0 for c in shifted) and 0 < height < level.p
+    return all(c >= 0 for c in shifted) and 0 <= height <= level.p
 
 
 def is_regular(rs: RootSystem, lam, level: Level) -> bool:
     """No wall of the affine arrangement through lam: <lam+rho, alpha^vee>
     is not a multiple of p for any positive root alpha."""
-    shifted = [c + 1 for c in lam]
+    shifted = [c + 1 for c in _as_weight(rs, lam)]
     p = level.p
     for row in rs.coroot_rows:
         val = sum(c * x for c, x in zip(row, shifted) if c)
@@ -161,18 +154,32 @@ def is_regular(rs: RootSystem, lam, level: Level) -> bool:
     return True
 
 
+def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -> list:
+    """Walk ``x = lam + rho`` in place into the closed fundamental alcove.
+
+    Alternates the finite dominant walk with the reflection through the wall
+    ``(x, theta) = p``.  When ``letters`` is a list, the steps are appended
+    to it: a simple index for a finite reflection, ``rs.rank`` for the wall.
+    Returns ``x``.
+    """
+    theta = rs.theta
+    for _ in range(_ALCOVE_WALK_CAP):
+        weyl._dominant_walk(rs, x, letters)
+        excess = _theta_height(rs, x) - p
+        if excess <= 0:
+            return x
+        for k, t in enumerate(theta):
+            x[k] -= excess * t
+        if letters is not None:
+            letters.append(rs.rank)
+    raise IterationLimitError("alcove walk did not terminate within the cap")
+
+
 @functools.lru_cache(maxsize=200_000)
 def _alcove_rep_coords(rs: RootSystem, coords: tuple, p: int) -> tuple:
     """Representative of coords under the alcove walk, without group tracking."""
-    x = weyl._dominant_tuple(rs, [c + 1 for c in coords])
-    for _ in range(_ALCOVE_WALK_CAP):
-        h = _theta_height(rs, x)
-        if h <= p:
-            return tuple(c - 1 for c in x)
-        excess = h - p
-        theta = rs.theta
-        x = weyl._dominant_tuple(rs, [c - excess * t for c, t in zip(x, theta)])
-    raise IterationLimitError("alcove walk did not terminate within the cap")
+    x = _alcove_walk(rs, [c + 1 for c in coords], p)
+    return tuple(c - 1 for c in x)
 
 
 def alcove_rep(rs: RootSystem, lam, level: Level):
@@ -183,58 +190,51 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
     alternates the finite dominant-representative step with the reflection
     through the wall ``(mu, theta) = p`` applied to ``mu = lam + rho``.
     """
-    lam = Weight(lam)
+    lam = _as_weight(rs, lam)
     if not lam.is_integral:
         raise DomainError(f"alcove representative needs an integral weight, got {lam}")
     p = level.p
-    x = Weight(c + 1 for c in lam)
-    acc = identity_element(rs.rank)  # maps the original lam + rho to the current x
-    wall = theta_wall_reflection(rs, level)
-    for _ in range(_ALCOVE_WALK_CAP):
-        x, w, _ = weyl.dominant_rep(rs, x)
-        acc = compose_affine(rs, finite_element(rs, w), acc)
-        h = _theta_height(rs, x)
-        if h <= p:
-            break
-        excess = h - p
-        x = Weight(c - excess * t for c, t in zip(x, rs.theta))
-        acc = compose_affine(rs, wall, acc)
-    else:
-        raise IterationLimitError("alcove walk did not terminate within the cap")
-    rep_wt = Weight(c - 1 for c in x)
-    g = inverse_affine(rs, acc)
-    return rep_wt, g, is_regular(rs, rep_wt, level)
+    letters: list[int] = []
+    x = _alcove_walk(rs, [c + 1 for c in lam], p, letters)
+    rep = Weight(c - 1 for c in x)
+    # Every step is an involution, so g = L_1 ... L_k for the steps in walk
+    # order.  Its finite part is that word with the wall spelled as
+    # s_theta; its translation then follows from g . rep = lam.
+    wall_word = _theta_reflection(rs).word
+    word: list[int] = []
+    for letter in letters:
+        word.extend(wall_word if letter == rs.rank else (letter,))
+    w = weyl.canonical_from_word(rs, word)
+    g = AffineWeylElement(lam - weyl.apply(rs, w, rep, shifted=True), w)
+    return rep, g, is_regular(rs, rep, level)
 
 
 def linked(rs: RootSystem, lam, mu, level: Level) -> bool:
     """Same orbit under the dot action of the affine Weyl group at this level:
     equal alcove representatives."""
-    lam, mu = Weight(lam), Weight(mu)
+    lam, mu = _as_weight(rs, lam), _as_weight(rs, mu)
     if not (lam.is_integral and mu.is_integral):
         raise DomainError("linkage is defined for integral weights")
     return (_alcove_rep_coords(rs, tuple(lam), level.p)
             == _alcove_rep_coords(rs, tuple(mu), level.p))
 
 
+def _dominant_box(rs: RootSystem, height: int):
+    """Dominant integral coordinate tuples lam with (lam + rho, theta) <=
+    height, in lexicographic order."""
+    marks = rs.coroot_rows[-1]  # dual marks <omega_i, theta^vee>, all >= 1
+    room = height - sum(marks)  # (rho, theta) is the sum of the dual marks
+    ranges = [range(max(room // m, -1) + 1) for m in marks]
+    for coords in itertools.product(*ranges):
+        if _theta_height(rs, coords) <= room:
+            yield coords
+
+
 @functools.lru_cache(maxsize=4096)
 def enumerate_dominant(rs: RootSystem, level: Level) -> tuple[Weight, ...]:
     """All dominant integral weights in the open fundamental alcove, sorted
     lexicographically.  Empty when p is at most the dual Coxeter number."""
-    import itertools
-
-    theta_row = rs.coroot_rows[-1]  # dual marks <omega_i, theta^vee>
-    p = level.p
-    ranges = []
-    for m in theta_row:
-        # (lam+rho, theta) = sum (a_i + 1) m_i < p
-        top = (p - rs.dual_coxeter + 1) // m if m else p
-        ranges.append(range(max(top, 0) + 1))
-    out = []
-    base = sum(theta_row)
-    for coords in itertools.product(*ranges):
-        if base + sum(a * m for a, m in zip(coords, theta_row)) < p:
-            out.append(Weight(coords))
-    return tuple(sorted(out))
+    return tuple(Weight(coords) for coords in _dominant_box(rs, level.p - 1))
 
 
 def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
@@ -244,27 +244,19 @@ def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
     Returns a list of (element, weight) pairs sorted by weight.  The default
     bound is (lam + rho, theta) + 4p.
     """
-    import itertools
-
-    lam = Weight(lam)
+    lam = _as_weight(rs, lam)
     if not lam.is_integral:
         raise DomainError(f"dominant orbit needs an integral weight, got {lam}")
-    if not _alcove_test(rs, lam, level, strict=True):
+    if not in_fundamental_alcove(rs, lam, level):
         raise DomainError(f"{lam} is not strictly inside the fundamental alcove")
     p = level.p
     if bound is None:
         bound = _theta_height(rs, [c + 1 for c in lam]) + 4 * p
-    theta_row = rs.coroot_rows[-1]
-    base = sum(theta_row)
-    ranges = [range(max((bound - base) // m, -1) + 1) if m else range(1) for m in theta_row]
     out = []
     lam_t = tuple(lam)
-    for coords in itertools.product(*ranges):
-        if base + sum(a * m for a, m in zip(coords, theta_row)) > bound:
-            continue
+    for coords in _dominant_box(rs, bound):
         if _alcove_rep_coords(rs, coords, p) == lam_t:
             nu = Weight(coords)
             _, g, _ = alcove_rep(rs, nu, level)
             out.append((g, nu))
-    out.sort(key=lambda pair: pair[1])
     return out

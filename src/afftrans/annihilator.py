@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine, translate
-from .affine import AffineWeylElement, Level, LeveledWeight
+from .affine import AffineWeylElement, Level
 from .errors import DomainError
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, Weight, _as_weight
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class SubmoduleLabels:
 
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:
     """Validated label set: non-identity generators with dominant images."""
-    base = base if isinstance(base, Weight) else Weight(base)
-    if not affine.in_fundamental_alcove(rs, LeveledWeight(base, level)):
+    base = _as_weight(rs, base, "base")
+    if not affine.in_fundamental_alcove(rs, base, level):
         raise DomainError(
             f"base {base} is not strictly inside the fundamental alcove "
             f"at level {level}")
@@ -85,7 +85,7 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     zero = Weight.zero(rs.rank)
     if labels.base != zero:
         raise DomainError(f"transport starts from base 0, not {labels.base}")
-    lam = lam if isinstance(lam, Weight) else Weight(lam)
+    lam = _as_weight(rs, lam, "lam")
     for g in labels.generators:
         translate.translate_weyl(rs, g, zero, lam, labels.level)
     return SubmoduleLabels(base=lam, level=labels.level,

@@ -75,13 +75,6 @@ def _resolve_level(args, rs: RootSystem):
     return Level.from_shifted(value)
 
 
-def _require_level(args, rs: RootSystem) -> Level:
-    level = _resolve_level(args, rs)
-    if level is None:
-        raise UsageError(f"'{args.command}' requires --level or --k")
-    return level
-
-
 def _warn_lattice(rs: RootSystem, level) -> None:
     if level is not None and level.q > 1 and not rs.is_simply_laced:
         print(f"warning: {rs.spec} at level {level}: denominators > 1 mix "
@@ -228,17 +221,10 @@ def _emit(rows, mode: str) -> int:
     return 0
 
 
-def _sort_key(rs: RootSystem, g: AffineWeylElement):
-    return (root_coords(rs, g.translation), g.finite.word)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_info(args) -> int:
-    rs = args.type
-    level = _resolve_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_info(args, rs: RootSystem, level) -> int:
     row = [("type", str(rs.spec)), ("rank", rs.rank),
            ("simply_laced", rs.is_simply_laced),
            ("positive_roots", len(rs.positive_roots)),
@@ -249,10 +235,7 @@ def _cmd_info(args) -> int:
     return _emit([row], args.format)
 
 
-def _cmd_orbit(args) -> int:
-    rs = args.type
-    level = _resolve_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_orbit(args, rs: RootSystem, level) -> int:
     if level is None:
         rows = [[("weight", w)] for w in sorted(weyl.orbit(rs, args.weight))]
     else:
@@ -264,25 +247,18 @@ def _cmd_orbit(args) -> int:
     return _emit(rows, args.format)
 
 
-def _cmd_alcove(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_alcove(args, rs: RootSystem, level) -> int:
     rep, g, regular = affine.alcove_rep(rs, args.weight, level)
     row = [("rep", rep), ("g", _element_text(rs, g)), ("regular", regular)]
     return _emit([row], args.format)
 
 
-def _cmd_dominant(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_dominant(args, rs: RootSystem, level) -> int:
     rows = [[("weight", w)] for w in affine.enumerate_dominant(rs, level)]
     return _emit(rows, args.format)
 
 
-def _cmd_tensor(args) -> int:
-    rs = args.type
+def _cmd_tensor(args, rs: RootSystem, level) -> int:
     cap = _resolve_cap(args)
     op = finchar.tensor_oracle if args.oracle else finchar.tensor_decompose
     parts = op(rs, args.lam, args.mu, cap=cap)
@@ -290,8 +266,7 @@ def _cmd_tensor(args) -> int:
     return _emit(rows, args.format)
 
 
-def _cmd_filtration(args) -> int:
-    rs = args.type
+def _cmd_filtration(args, rs: RootSystem, level) -> int:
     cap = _resolve_cap(args)
     if args.verma:
         parts = translate.verma_filtration(rs, args.lam, args.mu, cap=cap)
@@ -301,10 +276,7 @@ def _cmd_filtration(args) -> int:
     return _emit(rows, args.format)
 
 
-def _cmd_datum(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_datum(args, rs: RootSystem, level) -> int:
     try:
         translate.check_datum(rs, args.lam_left, args.lam_right, args.lam, level)
     except DatumInvalidError as exc:
@@ -312,10 +284,7 @@ def _cmd_datum(args) -> int:
     return _emit([[("valid", True)]], args.format)
 
 
-def _cmd_translate_weyl(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_translate_weyl(args, rs: RootSystem, level) -> int:
     cap = _resolve_cap(args)
     g = _parse_element(rs, level, args.element)
     op = translate.translate_verma if args.verma else translate.translate_weyl
@@ -323,10 +292,7 @@ def _cmd_translate_weyl(args) -> int:
     return _emit([[("image", image)]], args.format)
 
 
-def _cmd_translate_char(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_translate_char(args, rs: RootSystem, level) -> int:
     coeffs = _parse_char_terms(rs, level, args.char)
     chi = translate.make_character(rs, args.src, coeffs, level)
     out = translate.translate_character(rs, chi, args.dst)
@@ -343,44 +309,34 @@ def _cmd_translate_char(args) -> int:
     return 0
 
 
-def _cmd_verify_lemma(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_verify_lemma(args, rs: RootSystem, level) -> int:
     g = _parse_element(rs, level, args.element)
     verdict = translate.verify_weight_geometry(
         rs, args.lam, args.mu, g, level, args.bound)
     return _emit([[("verified", verdict)]], args.format)
 
 
-def _cmd_admissible(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_admissible(args, rs: RootSystem, level) -> int:
     rows = [[("weight", w)] for w in annihilator.admissible_list(rs, level)]
     return _emit(rows, args.format)
 
 
-def _cmd_generator(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_generator(args, rs: RootSystem, level) -> int:
     g = annihilator.singular_generator_label(rs, level)
     image = affine.affine_apply(rs, g, Weight.zero(rs.rank), level)
     row = [("g", _element_text(rs, g)), ("weight", image)]
     return _emit([row], args.format)
 
 
-def _cmd_transport(args) -> int:
-    rs = args.type
-    level = _require_level(args, rs)
-    _warn_lattice(rs, level)
+def _cmd_transport(args, rs: RootSystem, level) -> int:
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
     moved = annihilator.transport(rs, labels, args.to)
     rows = []
-    for g in sorted(moved.generators, key=lambda g: _sort_key(rs, g)):
+    ordered = sorted(moved.generators,
+                     key=lambda g: translate._element_sort_key(rs, g))
+    for g in ordered:
         image = affine.affine_apply(rs, g, args.to, level)
         rows.append([("g", _element_text(rs, g)), ("image", image)])
     return _emit(rows, args.format)
@@ -407,47 +363,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, parents, help_text):
+    def add(name, func, level, help_text):
+        """``level`` is None (takes no level), "optional" or "required"."""
+        parents = [common] if level is None else [common, leveled]
         p = sub.add_parser(name, parents=parents, help=help_text)
         p.add_argument("type", type=_type_arg, help="root system, e.g. A2")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, level_policy=level)
         return p
 
-    p = add("info", _cmd_info, [common, leveled], "root-system summary")
+    p = add("info", _cmd_info, "optional", "root-system summary")
 
-    p = add("orbit", _cmd_orbit, [common, leveled],
+    p = add("orbit", _cmd_orbit, "optional",
             "finite Weyl orbit, or dominant dot-orbit at a level")
     p.add_argument("weight", type=_weight_arg)
     p.add_argument("--bound", type=int, default=None,
                    help="height bound for orbit enumeration at a level")
 
-    p = add("alcove", _cmd_alcove, [common, leveled],
+    p = add("alcove", _cmd_alcove, "required",
             "alcove representative, group element and regularity")
     p.add_argument("weight", type=_weight_arg)
 
-    add("dominant", _cmd_dominant, [common, leveled],
+    add("dominant", _cmd_dominant, "required",
         "integral weights of the dominant alcove")
 
-    p = add("tensor", _cmd_tensor, [common],
+    p = add("tensor", _cmd_tensor, None,
             "tensor product decomposition")
     p.add_argument("lam", type=_weight_arg)
     p.add_argument("mu", type=_weight_arg)
     p.add_argument("--oracle", action="store_true",
                    help="use the convolve-and-strip path")
 
-    p = add("filtration", _cmd_filtration, [common],
+    p = add("filtration", _cmd_filtration, None,
             "Weyl (or, with --verma, Verma) filtration multiplicities")
     p.add_argument("lam", type=_weight_arg)
     p.add_argument("mu", type=_weight_arg)
     p.add_argument("--verma", action="store_true")
 
-    p = add("datum", _cmd_datum, [common, leveled],
+    p = add("datum", _cmd_datum, "required",
             "validate a translation triple")
     p.add_argument("lam_left", type=_weight_arg)
     p.add_argument("lam_right", type=_weight_arg)
     p.add_argument("lam", type=_weight_arg)
 
-    p = add("translate-weyl", _cmd_translate_weyl, [common, leveled],
+    p = add("translate-weyl", _cmd_translate_weyl, "required",
             "translate one module label between linkage classes")
     p.add_argument("--element", required=True, help="group element, "
                    "e.g. e, saff, t[5]*s1")
@@ -456,27 +414,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verma", action="store_true",
                    help="drop the dominance requirement on the source label")
 
-    p = add("translate-char", _cmd_translate_char, [common, leveled],
+    p = add("translate-char", _cmd_translate_char, "required",
             "translate a Weyl-basis character between linkage classes")
     p.add_argument("--from", dest="src", type=_weight_arg, required=True)
     p.add_argument("--to", dest="dst", type=_weight_arg, required=True)
     p.add_argument("--char", required=True,
                    help="comma-separated <element>:<coefficient> terms")
 
-    p = add("verify-lemma", _cmd_verify_lemma, [common, leveled],
+    p = add("verify-lemma", _cmd_verify_lemma, "required",
             "exhaustive check of the translation weight geometry")
     p.add_argument("--lam", type=_weight_arg, required=True)
     p.add_argument("--mu", type=_weight_arg, required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--bound", type=int, required=True)
 
-    add("admissible", _cmd_admissible, [common, leveled],
+    add("admissible", _cmd_admissible, "required",
         "regular integral alcove weights")
 
-    add("generator", _cmd_generator, [common, leveled],
+    add("generator", _cmd_generator, "required",
         "label of the singular generator over weight 0")
 
-    p = add("transport", _cmd_transport, [common, leveled],
+    p = add("transport", _cmd_transport, "required",
             "re-base a submodule label set from 0 to another weight")
     p.add_argument("--to", type=_weight_arg, required=True)
     p.add_argument("--generators", default="",
@@ -492,11 +450,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    rs = args.type
     try:
         for value in vars(args).values():  # every parsed weight argument
-            if isinstance(value, Weight) and len(value) != args.type.rank:
-                raise UsageError(f"weight {value} has wrong rank for {args.type.spec}")
-        return args.func(args)
+            if isinstance(value, Weight) and len(value) != rs.rank:
+                raise UsageError(f"weight {value} has wrong rank for {rs.spec}")
+        level = _resolve_level(args, rs)
+        if level is None and args.level_policy == "required":
+            raise UsageError(f"'{args.command}' requires --level or --k")
+        _warn_lattice(rs, level)
+        return args.func(args, rs, level)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

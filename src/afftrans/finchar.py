@@ -19,16 +19,14 @@ import numpy as np
 
 from . import weyl
 from .errors import DimensionCapError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _form_numerator, root_coords
+from .rootsys import RootSystem, Weight, _as_weight, _form_numerator, root_coords
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
 
 
 def _check_dominant(rs: RootSystem, lam) -> Weight:
-    wt = lam if isinstance(lam, Weight) else Weight(lam)
-    if len(wt) != rs.rank:
-        raise DomainError(f"weight {wt} has wrong rank for {rs.spec}")
+    wt = _as_weight(rs, lam)
     if not (wt.is_integral and wt.is_dominant):
         raise DomainError(f"weight {wt} is not dominant integral")
     return wt
@@ -117,7 +115,7 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
             chain = []
             while x not in memo:
                 up = tuple(c + a for c, a in zip(x, alpha))
-                m_up = table.get(weyl._dominant_tuple(rs, up), 0)
+                m_up = table.get(tuple(weyl._dominant_walk(rs, list(up))), 0)
                 if m_up == 0:
                     memo[x] = 0  # strings through the support are unbroken
                     break
@@ -148,12 +146,6 @@ def _char_items(rs: RootSystem, lam: Weight):
     return tuple(items)
 
 
-def _multiplicity(rs: RootSystem, lam: Weight, nu) -> int:
-    """dim V_lam[nu] for an arbitrary integral weight nu."""
-    rep = weyl._dominant_tuple(rs, tuple(nu))
-    return _dominant_mults(rs, lam).get(rep, 0)
-
-
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
     """Formal character of the module with highest weight ``lam``.
 
@@ -170,8 +162,9 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     """Decomposition multiplicities {nu: (V_lam ply V_mu : V_nu)}.
 
     Signed-reflection rule: for every weight nu' of the smaller factor,
-    dot-reflect lam + nu' into the dominant chamber, with sign; points on a
-    chamber wall contribute nothing.
+    dot-reflect lam + nu' into the dominant chamber, with the sign of the
+    walk's length; points on a chamber wall contribute nothing.  Singularity
+    is Weyl-invariant, so a walk that touches a wall also ends on one.
     """
     lam = _check_dominant(rs, lam)
     mu = _check_dominant(rs, mu)
@@ -180,22 +173,17 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
         lam, mu = mu, lam  # the rule sums over the smaller character
     out: dict = {}
     for nu_prime, m in _char_items(rs, mu):
-        coords = [a + b + 1 for a, b in zip(lam, nu_prime)]
-        sign = 1
-        while True:
-            if 0 in coords:
-                break  # on a wall: contributes 0
-            neg = next((i for i, c in enumerate(coords) if c < 0), None)
-            if neg is None:
-                key = Weight(c - 1 for c in coords)
-                new = out.get(key, 0) + sign * m
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-                break
-            weyl._reflect_in_place(rs, coords, neg)
-            sign = -sign
+        letters: list[int] = []
+        coords = weyl._dominant_walk(
+            rs, [a + b + 1 for a, b in zip(lam, nu_prime)], letters)
+        if 0 in coords:
+            continue  # on a wall: contributes 0
+        key = Weight(c - 1 for c in coords)
+        new = out.get(key, 0) + (-m if len(letters) % 2 else m)
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
     if any(v <= 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")

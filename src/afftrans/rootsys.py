@@ -338,9 +338,15 @@ def root_system(text: str) -> RootSystem:
     return build_root_system(RootSystemSpec.parse(text))
 
 
-def _check_rank(rs: RootSystem, wt) -> None:
-    if len(wt) != rs.rank:
-        raise DomainError(f"weight {Weight(wt)} has wrong rank for {rs.spec}")
+def _as_weight(rs: RootSystem, wt, what: str = "weight") -> Weight:
+    """``wt`` as a ``Weight``, refused unless its rank is that of ``rs``.
+
+    This is the one rank check of the public API.
+    """
+    w = wt if isinstance(wt, Weight) else Weight(wt)
+    if len(w) != rs.rank:
+        raise DomainError(f"{what} {w} has wrong rank for {rs.spec}")
+    return w
 
 
 def _divide(num, den: int) -> int | Fraction:
@@ -359,14 +365,13 @@ def _form_numerator(rs: RootSystem, lam, mu) -> int | Fraction:
 
 def bilinear(rs: RootSystem, lam, mu) -> int | Fraction:
     """Invariant bilinear form (lam, mu) in fundamental coordinates."""
-    _check_rank(rs, lam)
-    _check_rank(rs, mu)
+    lam, mu = _as_weight(rs, lam), _as_weight(rs, mu)
     return _divide(_form_numerator(rs, lam, mu), rs.form_den)
 
 
 def root_coords(rs: RootSystem, wt) -> tuple:
     """Coordinates of ``wt`` in the simple-root basis (exact rationals)."""
-    _check_rank(rs, wt)
+    wt = _as_weight(rs, wt)
     den = rs.inv_cartan_den
     return tuple(_divide(sum(c * x for c, x in zip(row, wt) if x), den)
                  for row in rs.inv_cartan_int)
@@ -377,7 +382,7 @@ def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:
 
     ``alpha`` must be a root of the system; anything else is an error.
     """
-    _check_rank(rs, lam)
+    lam = _as_weight(rs, lam)
     idx = rs.root_index.get(Weight(alpha) if not isinstance(alpha, Weight) else alpha)
     if idx is None:
         raise DomainError(f"{Weight(alpha)} is not a root of {rs.spec}")
@@ -390,6 +395,6 @@ def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:
 
 def coroot_pairings(rs: RootSystem, lam) -> list:
     """<lam, alpha^vee> for every positive root alpha, in root order."""
-    _check_rank(rs, lam)
+    lam = _as_weight(rs, lam)
     return [_divide(sum(c * x for c, x in zip(row, lam) if c), 1)
             for row in rs.coroot_rows]

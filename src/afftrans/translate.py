@@ -16,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import affine, finchar, weyl
-from .affine import AffineWeylElement, Level, LeveledWeight
+from .affine import AffineWeylElement, Level
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, root_coords
-
-
-def _as_weight(rs: RootSystem, wt, what: str) -> Weight:
-    w = wt if isinstance(wt, Weight) else Weight(wt)
-    if len(w) != rs.rank:
-        raise DomainError(f"{what} {w} has wrong rank for {rs.spec}")
-    return w
+from .rootsys import RootSystem, Weight, _as_weight, root_coords
 
 
 def _require_regular_alcove(rs: RootSystem, wt, level: Level, what: str) -> Weight:
@@ -33,21 +26,13 @@ def _require_regular_alcove(rs: RootSystem, wt, level: Level, what: str) -> Weig
     w = _as_weight(rs, wt, what)
     if not w.is_integral:
         raise DomainError(f"{what} {w} is not integral")
-    if not affine.in_fundamental_alcove(rs, LeveledWeight(w, level)):
+    if not affine.in_fundamental_alcove(rs, w, level):
         raise DomainError(
             f"{what} {w} is not strictly inside the fundamental alcove "
             f"at level {level}")
     if not affine.is_regular(rs, w, level):
         raise DomainError(f"{what} {w} is singular at level {level}")
     return w
-
-
-def _in_dominant_alcove(rs: RootSystem, w: Weight, level: Level) -> bool:
-    """Membership in P^+_k: dominant integral with (w + rho, theta) < p."""
-    if not (w.is_integral and w.is_dominant):
-        return False
-    height = sum(r * (c + 1) for r, c in zip(rs.coroot_rows[-1], w))
-    return height < level.p
 
 
 @dataclass(frozen=True)
@@ -71,7 +56,8 @@ def check_datum(rs: RootSystem, lam_left, lam_right, lam,
              ("lam_right", _as_weight(rs, lam_right, "lam_right")),
              ("lam", _as_weight(rs, lam, "lam"))]
     for what, w in named:
-        if not _in_dominant_alcove(rs, w, level):
+        # P^+_k: dominant integral with (w + rho, theta) < p
+        if not (w.is_integral and affine.in_fundamental_alcove(rs, w, level)):
             raise DatumInvalidError(
                 f"{what} {w} is not in the dominant alcove at level {level}")
     left, right, base = (w for _, w in named)
@@ -105,7 +91,7 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
     tgt = _as_weight(rs, target, "target")
-    if not affine.in_fundamental_alcove(rs, LeveledWeight(tgt, level)):
+    if not affine.in_fundamental_alcove(rs, tgt, level):
         raise DomainError(
             f"target {tgt} is not strictly inside the fundamental alcove "
             f"at level {level}")
@@ -128,11 +114,18 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
         raise DomainError(f"g.mu = {start} is not dominant")
     expected = affine.affine_apply(rs, g, lam, level)
     tau = translation_weight(rs, lam, mu)
-    survivors = project_linkage(
-        rs, kl_weyl_filtration(rs, tau, start, cap=cap), lam, level)
+    parts = kl_weyl_filtration(rs, tau, start, cap=cap)
+    return _sole_survivor(rs, parts, start, lam, level, expected, "translation")
+
+
+def _sole_survivor(rs: RootSystem, parts: dict, start: Weight, lam: Weight,
+                   level: Level, expected: Weight, what: str) -> Weight:
+    """``expected``, once it is the only term of ``parts`` linked to ``lam``
+    and has multiplicity one."""
+    survivors = project_linkage(rs, parts, lam, level)
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
-            f"translation of {start} to the class of {lam} has survivors "
+            f"{what} of {start} to the class of {lam} has survivors "
             f"{{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
             f"expected {{{expected}:1}}")
     return expected
@@ -154,7 +147,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     start = affine.affine_apply(rs, g, mu, level)
     if not start.is_dominant:
         raise DomainError(f"g.mu = {start} is not dominant")
-    height = sum(r * (c + 1) for r, c in zip(rs.coroot_rows[-1], start))
+    height = affine._theta_height(rs, [c + 1 for c in start])
     if height > bound:
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
@@ -199,7 +192,7 @@ def _element_sort_key(rs: RootSystem, g: AffineWeylElement):
 def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
     """Validated, canonically ordered character over the class of ``base``."""
     base = _as_weight(rs, base, "base")
-    if not affine.in_fundamental_alcove(rs, LeveledWeight(base, level)):
+    if not affine.in_fundamental_alcove(rs, base, level):
         raise DomainError(
             f"base {base} is not strictly inside the fundamental alcove "
             f"at level {level}")
@@ -275,12 +268,5 @@ def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,
     expected = affine.affine_apply(rs, g, lam, level)
     tau = translation_weight(rs, lam, mu)
     parts = verma_filtration(rs, tau, start, cap=cap)
-    survivors = {nu: m for nu, m in parts.items()
-                 if affine.linked(rs, nu, lam, level)}
-    if survivors != {expected: 1}:
-        raise InternalInconsistencyError(
-            f"Verma translation of {start} to the class of {lam} has "
-            f"survivors "
-            f"{{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
-            f"expected {{{expected}:1}}")
-    return expected
+    return _sole_survivor(rs, parts, start, lam, level, expected,
+                          "Verma translation")

@@ -3,6 +3,10 @@
 Elements are stored by their canonical reduced word: the lexicographically
 least reduced word, obtained by repeatedly stripping the smallest left
 descent.  Equality and hashing go through that canonical form.
+
+Every walk into the dominant chamber is :func:`_dominant_walk`: it reflects
+at the smallest simple index with a negative coordinate until none is left,
+and records the letters it applies only when asked to.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, Weight, _as_weight
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ def _apply_word(rs: RootSystem, word, coords) -> list:
 
 def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weight:
     """w(lam) for the plain action, or w.lam = w(lam+rho)-rho when shifted."""
+    lam = _as_weight(rs, lam)
     if shifted:
         out = _apply_word(rs, w.word, [c + 1 for c in lam])
         return Weight(c - 1 for c in out)
@@ -126,21 +131,22 @@ def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
     return WeylElement(_canonical_from_inverse_rows(rs, minv))
 
 
-def _dominant_tuple(rs: RootSystem, coords) -> tuple:
-    """Fast path: the dominant representative of coords under the plain action."""
-    x = list(coords)
+def _dominant_walk(rs: RootSystem, x: list, letters: list | None = None) -> list:
+    """Walk ``x`` in place into the dominant chamber and return it.
+
+    When ``letters`` is a list, each simple index applied is appended to it,
+    so that ``s_{letters[-1]} ... s_{letters[0]}`` maps the input to ``x``.
+    """
     n = rs.rank
-    simple = rs.simple_roots
     while True:
         for i in range(n):
             if x[i] < 0:
-                c = x[i]
-                col = simple[i]
-                for k in range(n):
-                    x[k] -= c * col[k]
+                _reflect_in_place(rs, x, i)
+                if letters is not None:
+                    letters.append(i)
                 break
         else:
-            return tuple(x)
+            return x
 
 
 def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
@@ -152,18 +158,11 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
     ``regular`` reports whether the stabiliser (of lam+rho when shifted) is
     trivial.
     """
+    lam = _as_weight(rs, lam)
     x = [c + 1 for c in lam] if shifted else list(lam)
-    n = rs.rank
-    applied: list[int] = []
-    while True:
-        for i in range(n):
-            if x[i] < 0:
-                _reflect_in_place(rs, x, i)
-                applied.append(i)
-                break
-        else:
-            break
-    w = canonical_from_word(rs, tuple(reversed(applied)))
+    letters: list[int] = []
+    _dominant_walk(rs, x, letters)
+    w = canonical_from_word(rs, reversed(letters))
     regular = all(c > 0 for c in x) if shifted else all(c != 0 for c in x)
     rep = Weight(c - 1 for c in x) if shifted else Weight(x)
     return rep, w, regular
@@ -171,7 +170,8 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
 
 def orbit(rs: RootSystem, lam, *, shifted: bool = False) -> set[Weight]:
     """The full finite orbit of lam under the chosen action."""
-    start = Weight([c + 1 for c in lam]) if shifted else Weight(lam)
+    lam = _as_weight(rs, lam)
+    start = Weight([c + 1 for c in lam]) if shifted else lam
     seen = {start}
     frontier = [start]
     while frontier:
@@ -199,7 +199,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def bar_involution(rs: RootSystem, lam) -> Weight:
     """The duality involution lam -> -w_0(lam) on dominant integral weights."""
-    lam = Weight(lam)
+    lam = _as_weight(rs, lam)
     if not lam.is_dominant or not lam.is_integral:
         raise DomainError(f"bar involution needs a dominant integral weight, got {lam}")
     out = -apply(rs, longest_element(rs), lam)

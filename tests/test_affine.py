@@ -11,7 +11,6 @@ from afftrans import affine, weyl
 from afftrans.affine import (
     AffineWeylElement,
     Level,
-    LeveledWeight,
     compose_affine,
     identity_element,
     inverse_affine,
@@ -111,17 +110,17 @@ def test_compose_inverse_laws(name, p):
 
 
 def test_in_fundamental_alcove_examples():
-    assert affine.in_fundamental_alcove(A1, LeveledWeight(Weight([3]), P5))
-    assert not affine.in_fundamental_alcove(A1, LeveledWeight(Weight([4]), P5))
-    assert affine.in_fundamental_alcove(A1, LeveledWeight(Weight([4]), P5), strict=False)
-    assert affine.in_fundamental_alcove(A2, LeveledWeight(Weight([1, 0]), Level(4, 1)))
+    assert affine.in_fundamental_alcove(A1, Weight([3]), P5)
+    assert not affine.in_fundamental_alcove(A1, Weight([4]), P5)
+    assert affine.in_fundamental_alcove(A1, Weight([4]), P5, strict=False)
+    assert affine.in_fundamental_alcove(A2, Weight([1, 0]), Level(4, 1))
 
 
 def test_alcove_boundary_cases():
     # lam + rho on the chamber wall: non-strict only
-    assert not affine.in_fundamental_alcove(A1, LeveledWeight(Weight([-1]), P5))
-    assert affine.in_fundamental_alcove(A1, LeveledWeight(Weight([-1]), P5), strict=False)
-    assert not affine.in_fundamental_alcove(A1, LeveledWeight(Weight([-2]), P5), strict=False)
+    assert not affine.in_fundamental_alcove(A1, Weight([-1]), P5)
+    assert affine.in_fundamental_alcove(A1, Weight([-1]), P5, strict=False)
+    assert not affine.in_fundamental_alcove(A1, Weight([-2]), P5, strict=False)
 
 
 def test_alcove_rep_examples():
@@ -142,7 +141,8 @@ def test_alcove_rep_rejects_non_integral():
         affine.alcove_rep(A1, Weight([Fraction(1, 2)]), P5)
 
 
-@pytest.mark.parametrize("name,p", [("A1", 5), ("A1", 3), ("A2", 4), ("B2", 7), ("G2", 7)])
+@pytest.mark.parametrize("name,p", [("A1", 5), ("A1", 3), ("A2", 4), ("B2", 7), ("G2", 7),
+                                    ("A3", 5), ("B3", 7), ("C3", 6)])
 def test_alcove_rep_roundtrip_random(name, p):
     rs = root_system(name)
     level = Level(p, 1)
@@ -150,12 +150,30 @@ def test_alcove_rep_roundtrip_random(name, p):
     for _ in range(200):
         lam = Weight(rng.randint(-12, 12) for _ in range(rs.rank))
         rep, g, regular = affine.alcove_rep(rs, lam, level)
-        assert affine.in_fundamental_alcove(rs, LeveledWeight(rep, level), strict=False)
+        assert affine.in_fundamental_alcove(rs, rep, level, strict=False)
         assert affine.affine_apply(rs, g, rep, level) == lam
+        assert affine.linked(rs, lam, rep, level)
         # regularity must agree with the direct wall test on the input
         walls = [v % p == 0 for v in coroot_pairings(rs, lam + rs.rho)]
         assert regular == (not any(walls))
         assert regular == affine.is_regular(rs, lam, level)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl.apply(A2, IDENTITY, [1, 2, 3]),
+    lambda: weyl.dominant_rep(A2, [1]),
+    lambda: weyl.orbit(A2, [1, 2, 3]),
+    lambda: weyl.bar_involution(A2, [1]),
+    lambda: affine.alcove_rep(A2, [1, 2, 3], P5),
+    lambda: affine.linked(A2, [1], [1, 0], P5),
+    lambda: affine.is_regular(A2, [1], P5),
+    lambda: affine.dominant_orbit(A2, [1], P5, bound=10),
+    lambda: affine.in_fundamental_alcove(A2, [1], P5),
+], ids=["apply", "dominant_rep", "orbit", "bar_involution", "alcove_rep",
+        "linked", "is_regular", "dominant_orbit", "in_fundamental_alcove"])
+def test_wrong_rank_weight_is_domain_error(call):
+    with pytest.raises(DomainError, match="has wrong rank for A2"):
+        call()
 
 
 def test_open_alcove_membership_does_not_imply_regular():
@@ -164,7 +182,7 @@ def test_open_alcove_membership_does_not_imply_regular():
     b2 = root_system("B2")
     level = Level(5, 1)
     lam = Weight([0, 2])
-    assert affine.in_fundamental_alcove(b2, LeveledWeight(lam, level))
+    assert affine.in_fundamental_alcove(b2, lam, level)
     assert not affine.is_regular(b2, lam, level)
     rep, g, regular = affine.alcove_rep(b2, lam, level)
     assert (rep, g.is_identity, regular) == (lam, True, False)
@@ -194,7 +212,7 @@ def test_enumerate_dominant_is_sorted_and_in_alcove():
     ws = affine.enumerate_dominant(b2, level)
     assert list(ws) == sorted(ws)
     for w in ws:
-        assert affine.in_fundamental_alcove(b2, LeveledWeight(w, level))
+        assert affine.in_fundamental_alcove(b2, w, level)
 
 
 def test_linked_examples():

@@ -166,14 +166,44 @@ def test_level_shorthand_without_denominator(capsys):
     assert long_form == short_form == "weight=[0,0]\nweight=[0,1]\nweight=[1,0]\n"
 
 
-def test_nonintegral_level_warns_once_for_nonsimply_laced(capsys):
-    code, out, err = run(capsys, "dominant", "B2", "--level", "7/2")
+# one invocation of every subcommand that takes a level, for a rank-2 type
+LEVELED_ARGS = {
+    "info": [],
+    "orbit": ["[0,0]", "--bound", "20"],
+    "alcove": ["[1,0]"],
+    "dominant": [],
+    "datum": ["[1,0]", "[1,0]", "[0,0]"],
+    "translate-weyl": ["--element", "saff", "--from", "[0,0]", "--to", "[1,0]"],
+    "translate-char": ["--from", "[0,0]", "--to", "[1,0]", "--char", "e:1,saff:1"],
+    "verify-lemma": ["--lam", "[1,0]", "--mu", "[0,0]", "--element", "saff",
+                     "--bound", "20"],
+    "admissible": [],
+    "generator": [],
+    "transport": ["--to", "[1,0]", "--generators", "saff"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEVELED_ARGS))
+def test_nonintegral_level_warns_once_for_nonsimply_laced(capsys, command):
+    args = LEVELED_ARGS[command]
+    code, out, err = run(capsys, command, "B2", *args, "--level", "7/2")
     assert code == 0
     assert err.startswith("warning: B2 at level 7/2")
-    assert err.count("\n") == 1
-    assert out  # enumeration itself unaffected
-    code, _, err = run(capsys, "dominant", "A2", "--level", "7/2")
+    assert err.count("\n") == 1 and err.count("warning") == 1
+    assert out  # the command itself is unaffected
+    code, _, err = run(capsys, command, "A2", *args, "--level", "7/2")
     assert code == 0 and err == ""  # simply laced: silent
+
+
+def test_warning_precedes_cap_error(capsys, monkeypatch):
+    monkeypatch.setenv("AFFTRANS_CAP", "banana")
+    code, out, err = run(capsys, "translate-weyl", "B2", "--level", "7/2",
+                         *LEVELED_ARGS["translate-weyl"])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("warning: B2 at level 7/2")
+    assert lines[1] == "error: malformed AFFTRANS_CAP value 'banana'"
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_make_character_rejects_noncanonical_key():
     # not the canonical (minimal) element for the image it produces.
     B2 = root_system("B2")
     base = Weight([0, 2])
-    assert affine.in_fundamental_alcove(B2, affine.LeveledWeight(base, P5), strict=True)
+    assert affine.in_fundamental_alcove(B2, base, P5, strict=True)
     assert not affine.is_regular(B2, base, P5)
     stab = affine.compose_affine(
         B2, affine.translation_element(B2, Weight([5, 0])),
