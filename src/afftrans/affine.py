@@ -81,7 +81,7 @@ def finite_element(rs: RootSystem, w: WeylElement) -> AffineWeylElement:
 
 
 def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
-    return AffineWeylElement(Weight(beta), IDENTITY)
+    return AffineWeylElement(_as_weight(rs, beta, "translation"), IDENTITY)
 
 
 def compose_affine(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
@@ -154,6 +154,22 @@ def is_regular(rs: RootSystem, lam, level: Level) -> bool:
     return True
 
 
+def _as_alcove_weight(rs: RootSystem, wt, level: Level, what: str = "weight", *,
+                      regular: bool = False) -> Weight:
+    """``wt`` as an integral ``Weight`` strictly inside the fundamental alcove
+    and, when ``regular`` is set, off every wall at ``level``.
+
+    This is the one alcove check of the public API.
+    """
+    w = _as_weight(rs, wt, what, integral=True)
+    if not in_fundamental_alcove(rs, w, level):
+        raise DomainError(f"{what} {w} is not strictly inside the fundamental "
+                          f"alcove at level {level}")
+    if regular and not is_regular(rs, w, level):
+        raise DomainError(f"{what} {w} is singular at level {level}")
+    return w
+
+
 def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -> list:
     """Walk ``x = lam + rho`` in place into the closed fundamental alcove.
 
@@ -190,9 +206,7 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
     alternates the finite dominant-representative step with the reflection
     through the wall ``(mu, theta) = p`` applied to ``mu = lam + rho``.
     """
-    lam = _as_weight(rs, lam)
-    if not lam.is_integral:
-        raise DomainError(f"alcove representative needs an integral weight, got {lam}")
+    lam = _as_weight(rs, lam, integral=True)
     p = level.p
     letters: list[int] = []
     x = _alcove_walk(rs, [c + 1 for c in lam], p, letters)
@@ -212,9 +226,8 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
 def linked(rs: RootSystem, lam, mu, level: Level) -> bool:
     """Same orbit under the dot action of the affine Weyl group at this level:
     equal alcove representatives."""
-    lam, mu = _as_weight(rs, lam), _as_weight(rs, mu)
-    if not (lam.is_integral and mu.is_integral):
-        raise DomainError("linkage is defined for integral weights")
+    lam, mu = _as_weight(rs, lam), _as_weight(rs, mu)  # both ranks first
+    lam, mu = _as_weight(rs, lam, integral=True), _as_weight(rs, mu, integral=True)
     return (_alcove_rep_coords(rs, tuple(lam), level.p)
             == _alcove_rep_coords(rs, tuple(mu), level.p))
 
@@ -244,11 +257,7 @@ def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
     Returns a list of (element, weight) pairs sorted by weight.  The default
     bound is (lam + rho, theta) + 4p.
     """
-    lam = _as_weight(rs, lam)
-    if not lam.is_integral:
-        raise DomainError(f"dominant orbit needs an integral weight, got {lam}")
-    if not in_fundamental_alcove(rs, lam, level):
-        raise DomainError(f"{lam} is not strictly inside the fundamental alcove")
+    lam = _as_alcove_weight(rs, lam, level, "lam")
     p = level.p
     if bound is None:
         bound = _theta_height(rs, [c + 1 for c in lam]) + 4 * p

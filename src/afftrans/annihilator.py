@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import affine, translate
-from .affine import AffineWeylElement, Level
+from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
 from .rootsys import RootSystem, Weight, _as_weight
 
@@ -28,11 +28,7 @@ class SubmoduleLabels:
 
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:
     """Validated label set: non-identity generators with dominant images."""
-    base = _as_weight(rs, base, "base")
-    if not affine.in_fundamental_alcove(rs, base, level):
-        raise DomainError(
-            f"base {base} is not strictly inside the fundamental alcove "
-            f"at level {level}")
+    base = _as_alcove_weight(rs, base, level, "base")
     gens = frozenset(generators)
     for g in gens:
         if g.is_identity:
@@ -54,8 +50,7 @@ def admissible_list(rs: RootSystem, level: Level,
     this library does not model.
     """
     if not integral_only:
-        raise NotImplementedError(
-            "non-integral admissible weights are not modelled")
+        raise DomainError("non-integral admissible weights are not modelled")
     return [w for w in affine.enumerate_dominant(rs, level)
             if affine.is_regular(rs, w, level)]
 
@@ -86,6 +81,9 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     if labels.base != zero:
         raise DomainError(f"transport starts from base 0, not {labels.base}")
     lam = _as_weight(rs, lam, "lam")
+    # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.
+    _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
+    lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
     for g in labels.generators:
         translate.translate_weyl(rs, g, zero, lam, labels.level)
     return SubmoduleLabels(base=lam, level=labels.level,

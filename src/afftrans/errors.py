@@ -9,6 +9,10 @@ class DomainError(AfftransError):
     """A precondition on the mathematical input was violated."""
 
 
+class InexactCoordinateError(DomainError, TypeError):
+    """A weight coordinate is a float; weights are exact (int or Fraction)."""
+
+
 class InvalidRootSystemError(DomainError):
     """The requested (series, rank) pair is not a valid simple type."""
 

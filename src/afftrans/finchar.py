@@ -18,18 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import weyl
-from .errors import DimensionCapError, DomainError, InternalInconsistencyError
+from .errors import DimensionCapError, InternalInconsistencyError
 from .rootsys import RootSystem, Weight, _as_weight, _form_numerator, root_coords
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
-
-
-def _check_dominant(rs: RootSystem, lam) -> Weight:
-    wt = _as_weight(rs, lam)
-    if not (wt.is_integral and wt.is_dominant):
-        raise DomainError(f"weight {wt} is not dominant integral")
-    return wt
 
 
 def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
@@ -51,7 +44,7 @@ def _dim(rs: RootSystem, lam: Weight) -> int:
 
 def dimension(rs: RootSystem, lam) -> int:
     """Dimension of the module with highest weight ``lam`` (exact product formula)."""
-    return _dim(rs, _check_dominant(rs, lam))
+    return _dim(rs, _as_weight(rs, lam, dominant=True))
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +144,9 @@ def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dic
 
     Returns {weight: multiplicity} over the full (Weyl-symmetric) support.
     """
-    lam = _check_dominant(rs, lam)
-    if dimension(rs, lam) > cap:
-        raise DimensionCapError(
-            f"dimension {dimension(rs, lam)} exceeds cap {cap}")
+    lam = _as_weight(rs, lam, dominant=True)
+    if _dim(rs, lam) > cap:
+        raise DimensionCapError(f"dimension {_dim(rs, lam)} exceeds cap {cap}")
     return dict(_char_items(rs, lam))
 
 
@@ -166,8 +158,8 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     walk's length; points on a chamber wall contribute nothing.  Singularity
     is Weyl-invariant, so a walk that touches a wall also ends on one.
     """
-    lam = _check_dominant(rs, lam)
-    mu = _check_dominant(rs, mu)
+    lam = _as_weight(rs, lam, dominant=True)
+    mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     if _dim(rs, mu) > _dim(rs, lam):
         lam, mu = mu, lam  # the rule sums over the smaller character
@@ -236,8 +228,8 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     Must agree with :func:`tensor_decompose`; a negative intermediate
     multiplicity or a nonzero residue raises an inconsistency error.
     """
-    lam = _check_dominant(rs, lam)
-    mu = _check_dominant(rs, mu)
+    lam = _as_weight(rs, lam, dominant=True)
+    mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     arr = _convolve_exact(_char_drop_array(rs, lam), _char_drop_array(rs, mu))
     top = lam + mu

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, InvalidRootSystemError
+from .errors import DomainError, InexactCoordinateError, InvalidRootSystemError
 
-Scalar = "int | Fraction"
 _INT_ONLY = frozenset({int})
 
 
@@ -26,7 +25,7 @@ def _exact(value) -> int | Fraction:
         return value
     # Floats are rejected outright: exactness is a hard invariant of Weight.
     if isinstance(value, float):
-        raise TypeError(f"floating point coordinate {value!r} is not allowed")
+        raise InexactCoordinateError(f"floating point coordinate {value!r} is not allowed")
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f
 
@@ -338,14 +337,21 @@ def root_system(text: str) -> RootSystem:
     return build_root_system(RootSystemSpec.parse(text))
 
 
-def _as_weight(rs: RootSystem, wt, what: str = "weight") -> Weight:
-    """``wt`` as a ``Weight``, refused unless its rank is that of ``rs``.
+def _as_weight(rs: RootSystem, wt, what: str = "weight", *,
+               integral: bool = False, dominant: bool = False) -> Weight:
+    """``wt`` as a ``Weight`` of the rank of ``rs``; also integral when
+    ``integral`` is set, and dominant integral when ``dominant`` is set.
 
-    This is the one rank check of the public API.
+    This is the one rank, integrality and dominance check of the public API
+    (float coordinates are refused by ``Weight`` itself).
     """
     w = wt if isinstance(wt, Weight) else Weight(wt)
     if len(w) != rs.rank:
         raise DomainError(f"{what} {w} has wrong rank for {rs.spec}")
+    if dominant and not (w.is_integral and w.is_dominant):
+        raise DomainError(f"{what} {w} is not dominant integral")
+    if integral and not w.is_integral:
+        raise DomainError(f"{what} {w} is not integral")
     return w
 
 

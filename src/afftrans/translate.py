@@ -16,23 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import affine, finchar, weyl
-from .affine import AffineWeylElement, Level
+from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
 from .rootsys import RootSystem, Weight, _as_weight, root_coords
-
-
-def _require_regular_alcove(rs: RootSystem, wt, level: Level, what: str) -> Weight:
-    """Weight strictly inside the fundamental alcove and off every wall."""
-    w = _as_weight(rs, wt, what)
-    if not w.is_integral:
-        raise DomainError(f"{what} {w} is not integral")
-    if not affine.in_fundamental_alcove(rs, w, level):
-        raise DomainError(
-            f"{what} {w} is not strictly inside the fundamental alcove "
-            f"at level {level}")
-    if not affine.is_regular(rs, w, level):
-        raise DomainError(f"{what} {w} is singular at level {level}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -62,8 +48,7 @@ def check_datum(rs: RootSystem, lam_left, lam_right, lam,
                 f"{what} {w} is not in the dominant alcove at level {level}")
     left, right, base = (w for _, w in named)
     diff = left - base
-    rep, _, _ = weyl.dominant_rep(rs, diff)
-    if rep != right:
+    if tuple(weyl._dominant_walk(rs, list(diff))) != right:
         raise DatumInvalidError(
             f"difference {diff} is not in the Weyl orbit of lam_right {right}")
     return TranslationDatum(left, right, base, level)
@@ -72,10 +57,8 @@ def check_datum(rs: RootSystem, lam_left, lam_right, lam,
 def translation_weight(rs: RootSystem, lam, mu) -> Weight:
     """Dominant representative of ``lam - mu`` under the plain action."""
     diff = _as_weight(rs, lam, "lam") - _as_weight(rs, mu, "mu")
-    if not diff.is_integral:
-        raise DomainError(f"difference {diff} is not integral")
-    rep, _, _ = weyl.dominant_rep(rs, diff)
-    return rep
+    diff = _as_weight(rs, diff, "difference", integral=True)
+    return Weight(weyl._dominant_walk(rs, list(diff)))
 
 
 def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
@@ -90,13 +73,13 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
 
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
-    tgt = _as_weight(rs, target, "target")
-    if not affine.in_fundamental_alcove(rs, tgt, level):
-        raise DomainError(
-            f"target {tgt} is not strictly inside the fundamental alcove "
-            f"at level {level}")
+    # Validate and look up the target once, not once per key as ``linked`` would.
+    p = level.p
+    tgt = _as_alcove_weight(rs, target, level, "target")
+    rep = affine._alcove_rep_coords(rs, tuple(tgt), p)
     return {nu: m for nu, m in parts.items()
-            if affine.linked(rs, nu, tgt, level)}
+            if affine._alcove_rep_coords(
+                rs, tuple(_as_weight(rs, nu, "key", integral=True)), p) == rep}
 
 
 def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
@@ -107,11 +90,9 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
     tensor filtration onto the target class must contain exactly that label,
     with multiplicity one.
     """
-    mu = _require_regular_alcove(rs, mu, level, "mu")
-    lam = _require_regular_alcove(rs, lam, level, "lam")
-    start = affine.affine_apply(rs, g, mu, level)
-    if not start.is_dominant:
-        raise DomainError(f"g.mu = {start} is not dominant")
+    mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
+    lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
+    start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
     expected = affine.affine_apply(rs, g, lam, level)
     tau = translation_weight(rs, lam, mu)
     parts = kl_weyl_filtration(rs, tau, start, cap=cap)
@@ -142,11 +123,9 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     Returns True iff every solution has ``w1 = g`` and ``nu`` in the plain
     orbit of the translation weight.
     """
-    lam = _require_regular_alcove(rs, lam, level, "lam")
-    mu = _require_regular_alcove(rs, mu, level, "mu")
-    start = affine.affine_apply(rs, g, mu, level)
-    if not start.is_dominant:
-        raise DomainError(f"g.mu = {start} is not dominant")
+    lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
+    mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
+    start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
     if height > bound:
         raise DomainError(
@@ -164,8 +143,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
                 continue  # not a p-scaled root-lattice translation
             w1 = AffineWeylElement(beta, w)
             found = True
-            rep, _, _ = weyl.dominant_rep(rs, nu)
-            if w1 != g or rep != tau:
+            if w1 != g or tuple(weyl._dominant_walk(rs, list(nu))) != tau:
                 ok = False
     return found and ok
 
@@ -191,11 +169,7 @@ def _element_sort_key(rs: RootSystem, g: AffineWeylElement):
 
 def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
     """Validated, canonically ordered character over the class of ``base``."""
-    base = _as_weight(rs, base, "base")
-    if not affine.in_fundamental_alcove(rs, base, level):
-        raise DomainError(
-            f"base {base} is not strictly inside the fundamental alcove "
-            f"at level {level}")
+    base = _as_alcove_weight(rs, base, level, "base")
     cleaned = {}
     for g, c in coeffs.items():
         if c == 0:
@@ -221,8 +195,8 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
     Coefficients ride along unchanged; a key is dropped only if its image at
     the new base leaves the dominant cone (for regular bases none do).
     """
-    mu = _require_regular_alcove(rs, chi.base, chi.level, "base")
-    lam = _require_regular_alcove(rs, lam, chi.level, "lam")
+    _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
+    lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
     kept = {}
     for g, c in chi.coeffs.items():
         if affine.affine_apply(rs, g, lam, chi.level).is_dominant:
@@ -245,10 +219,8 @@ def verma_filtration(rs: RootSystem, lam, mu, *,
 
     Key ``nu`` carries ``dim V_lam[nu - mu]``; keys need not be dominant.
     """
-    lam = finchar._check_dominant(rs, lam)
-    mu = _as_weight(rs, mu, "mu")
-    if not mu.is_integral:
-        raise DomainError(f"mu {mu} is not integral")
+    lam = _as_weight(rs, lam, dominant=True)
+    mu = _as_weight(rs, mu, "mu", integral=True)
     parts = {mu + nu: m
              for nu, m in finchar.weight_multiplicities(rs, lam, cap=cap).items()}
     return dict(sorted(parts.items()))
@@ -262,8 +234,8 @@ def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,
     ``g . mu``; the survivor search intersects the Verma filtration with the
     full dot orbit of ``lam``.
     """
-    mu = _require_regular_alcove(rs, mu, level, "mu")
-    lam = _require_regular_alcove(rs, lam, level, "lam")
+    mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
+    lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     start = affine.affine_apply(rs, g, mu, level)
     expected = affine.affine_apply(rs, g, lam, level)
     tau = translation_weight(rs, lam, mu)

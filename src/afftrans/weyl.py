@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_weight
+from .rootsys import RootSystem, Weight, _as_weight, pairing
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,11 @@ def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
 
 
 def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
-    """The reflection s_alpha as a canonical Weyl element."""
-    from .rootsys import pairing  # local import to keep module load light
+    """The reflection s_alpha as a canonical Weyl element.
 
+    ``pairing`` refuses an ``alpha`` that is not a root of the system.
+    """
     alpha = Weight(alpha)
-    if alpha not in rs.root_index:
-        raise DomainError(f"{alpha} is not a root of {rs.spec}")
     n = rs.rank
     # Rows of the (symmetric, involutive) matrix of s_alpha.
     minv = []
@@ -199,9 +198,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def bar_involution(rs: RootSystem, lam) -> Weight:
     """The duality involution lam -> -w_0(lam) on dominant integral weights."""
-    lam = _as_weight(rs, lam)
-    if not lam.is_dominant or not lam.is_integral:
-        raise DomainError(f"bar involution needs a dominant integral weight, got {lam}")
+    lam = _as_weight(rs, lam, dominant=True)
     out = -apply(rs, longest_element(rs), lam)
     assert out.is_dominant
     return out

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from afftrans import affine, weyl
+import afftrans
+from afftrans import affine, annihilator, finchar, rootsys, translate, weyl
 from afftrans.affine import (
     AffineWeylElement,
     Level,
@@ -16,7 +18,7 @@ from afftrans.affine import (
     inverse_affine,
     translation_element,
 )
-from afftrans.errors import DomainError
+from afftrans.errors import DomainError, InexactCoordinateError
 from afftrans.rootsys import Weight, coroot_pairings, root_system
 from afftrans.weyl import IDENTITY, WeylElement
 
@@ -159,21 +161,125 @@ def test_alcove_rep_roundtrip_random(name, p):
         assert regular == affine.is_regular(rs, lam, level)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: weyl.apply(A2, IDENTITY, [1, 2, 3]),
-    lambda: weyl.dominant_rep(A2, [1]),
-    lambda: weyl.orbit(A2, [1, 2, 3]),
-    lambda: weyl.bar_involution(A2, [1]),
-    lambda: affine.alcove_rep(A2, [1, 2, 3], P5),
-    lambda: affine.linked(A2, [1], [1, 0], P5),
-    lambda: affine.is_regular(A2, [1], P5),
-    lambda: affine.dominant_orbit(A2, [1], P5, bound=10),
-    lambda: affine.in_fundamental_alcove(A2, [1], P5),
-], ids=["apply", "dominant_rep", "orbit", "bar_involution", "alcove_rep",
-        "linked", "is_regular", "dominant_orbit", "in_fundamental_alcove"])
-def test_wrong_rank_weight_is_domain_error(call):
-    with pytest.raises(DomainError, match="has wrong rank for A2"):
-        call()
+# ---------------------------------------------------------------------------
+# the public weight contract
+
+OK = Weight([1, 0])  # regular and strictly inside the alcove of A2 at P5
+ZERO = Weight([0, 0])
+G = identity_element(2)
+
+# Every public function that takes a weight (``afftrans.__all__`` plus
+# ``weyl.apply``): valid keyword arguments on A2 at P5, and the weight
+# parameters that must be integral.
+CONTRACT = [
+    (weyl.apply, dict(w=IDENTITY, lam=OK), ""),
+    (weyl.dominant_rep, dict(lam=OK), ""),
+    (weyl.orbit, dict(lam=OK), ""),
+    (weyl.bar_involution, dict(lam=OK), "lam"),
+    (weyl.reflection_in_root, dict(alpha=A2.theta), "alpha"),
+    (affine.affine_apply, dict(g=G, lam=OK, level=P5), ""),
+    (affine.alcove_rep, dict(lam=OK, level=P5), "lam"),
+    (affine.linked, dict(lam=OK, mu=ZERO, level=P5), "lam mu"),
+    (affine.is_regular, dict(lam=OK, level=P5), ""),
+    (affine.dominant_orbit, dict(lam=OK, level=P5, bound=10), "lam"),
+    (affine.in_fundamental_alcove, dict(lam=OK, level=P5), ""),
+    (affine.translation_element, dict(beta=ZERO), ""),
+    (rootsys.bilinear, dict(lam=OK, mu=ZERO), ""),
+    (rootsys.coroot_pairings, dict(lam=OK), ""),
+    (rootsys.pairing, dict(lam=OK, alpha=A2.theta), "alpha"),
+    (rootsys.root_coords, dict(wt=OK), ""),
+    (finchar.dimension, dict(lam=OK), "lam"),
+    (finchar.weight_multiplicities, dict(lam=OK), "lam"),
+    (finchar.tensor_decompose, dict(lam=OK, mu=ZERO), "lam mu"),
+    (finchar.tensor_oracle, dict(lam=OK, mu=ZERO), "lam mu"),
+    (translate.check_datum, dict(lam_left=OK, lam_right=OK, lam=ZERO, level=P5),
+     "lam_left lam_right lam"),
+    (translate.translation_weight, dict(lam=OK, mu=ZERO), "lam mu"),
+    (translate.kl_weyl_filtration, dict(lam=OK, mu=ZERO), "lam mu"),
+    (translate.project_linkage, dict(parts={}, target=OK, level=P5), "target"),
+    (translate.translate_weyl, dict(g=G, mu=ZERO, lam=OK, level=P5), "mu lam"),
+    (translate.translate_verma, dict(g=G, mu=ZERO, lam=OK, level=P5), "mu lam"),
+    (translate.verify_weight_geometry,
+     dict(lam=OK, mu=ZERO, g=G, level=P5, bound=40), "lam mu"),
+    (translate.verma_filtration, dict(lam=OK, mu=ZERO), "lam mu"),
+    (translate.make_character, dict(base=OK, coeffs={}, level=P5), "base"),
+    (translate.translate_character,
+     dict(chi=translate.make_character(A2, ZERO, {}, P5), lam=OK), "lam"),
+    (translate.round_trip_check,
+     dict(chi=translate.make_character(A2, ZERO, {}, P5), lam=OK), "lam"),
+    (annihilator.make_labels, dict(base=OK, generators=[], level=P5), "base"),
+    (annihilator.transport,
+     dict(labels=annihilator.make_labels(A2, ZERO, [], P5), lam=OK), "lam"),
+]
+WEIGHT_PARAMS = {"lam", "mu", "wt", "base", "target", "beta", "alpha",
+                 "lam_left", "lam_right"}
+OTHER_PARAMS = {"rs", "level", "g", "h", "w", "chi", "labels", "parts", "coeffs",
+                "generators", "cap", "bound", "shifted", "strict", "max_size",
+                "integral_only", "spec", "text", "rank"}
+
+
+def _cells(integral_only=False):
+    """One pytest case per (function, weight parameter); the first weight
+    parameter of a function is identified by the function name alone."""
+    cases = []
+    for fn, valid, integral in CONTRACT:
+        params = [q for q in inspect.signature(fn).parameters if q in WEIGHT_PARAMS]
+        for param in params:
+            if integral_only and param not in integral.split():
+                continue
+            name = fn.__name__ if param == params[0] else f"{fn.__name__}-{param}"
+            cases.append(pytest.param(fn, valid, param, id=name))
+    return cases
+
+
+def _spoiled(fn, valid, param, bad):
+    return fn(A2, **{**valid, param: bad})
+
+
+def test_contract_rows_are_valid_calls():
+    for fn, valid, _ in CONTRACT:
+        fn(A2, **valid)
+
+
+@pytest.mark.parametrize("fn,valid,param", _cells())
+def test_wrong_rank_weight_is_domain_error(fn, valid, param):
+    match = "is not a root of A2" if param == "alpha" else "has wrong rank for A2"
+    for bad in ([1], [1, 2, 3]):  # too short and too long
+        with pytest.raises(DomainError, match=match):
+            _spoiled(fn, valid, param, bad)
+
+
+@pytest.mark.parametrize("fn,valid,param", _cells())
+def test_float_coordinate_is_domain_error(fn, valid, param):
+    with pytest.raises(InexactCoordinateError, match="floating point coordinate 1.0"):
+        _spoiled(fn, valid, param, [1.0, 0])
+
+
+@pytest.mark.parametrize("fn,valid,param", _cells(integral_only=True))
+def test_nonintegral_weight_is_domain_error(fn, valid, param):
+    with pytest.raises(DomainError):
+        _spoiled(fn, valid, param, [Fraction(1, 2), 0])
+
+
+def test_linked_checks_both_ranks_before_integrality():
+    with pytest.raises(DomainError, match=r"weight \[1\] has wrong rank"):
+        affine.linked(A2, [Fraction(1, 2), 0], [1], P5)
+
+
+def test_contract_table_covers_every_public_weight_function():
+    covered = {fn for fn, _, _ in CONTRACT}
+    missing, unclassified = [], set()
+    for name in afftrans.__all__:
+        obj = getattr(afftrans, name)
+        if isinstance(obj, type) or not callable(obj):
+            continue
+        params = set(inspect.signature(obj).parameters)
+        unclassified |= params - WEIGHT_PARAMS - OTHER_PARAMS
+        if params & WEIGHT_PARAMS and obj not in covered:
+            missing.append(name)
+    # A new parameter name must be classified before the check can trust it.
+    assert not unclassified
+    assert not missing
 
 
 def test_open_alcove_membership_does_not_imply_regular():

@@ -42,7 +42,7 @@ def test_admissible_list_matches_alcove_enumeration():
 
 
 def test_admissible_list_fractional_unsupported():
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(DomainError, match="not modelled"):
         annihilator.admissible_list(A1, lvl(5, 2), integral_only=False)
 
 
@@ -148,6 +148,17 @@ def test_transport_empty_set():
     moved = annihilator.transport(A1, labels, Weight([3]))
     assert moved.generators == frozenset()
     assert moved.base == Weight([3])
+
+
+def test_transport_empty_set_checks_base_then_target():
+    # no generator reaches translate_weyl, yet its checks still run, in its order
+    labels = annihilator.make_labels(A2, Weight([0, 0]), set(), lvl(5))
+    with pytest.raises(DomainError, match=r"lam \[4,4\] is not strictly inside"):
+        annihilator.transport(A2, labels, [4, 4])
+    B2 = root_system("B2")
+    labels = annihilator.make_labels(B2, Weight([0, 0]), set(), lvl(3))
+    with pytest.raises(DomainError, match=r"mu \[0,0\] is singular at level 3/1"):
+        annihilator.transport(B2, labels, [9, 9])
 
 
 def test_transport_agrees_with_translate_weyl():
