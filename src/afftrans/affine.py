@@ -86,8 +86,9 @@ def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
 
 def compose_affine(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
     """(t_beta, w)(t_gamma, v) = (t_{beta + w(gamma)}, w v)."""
+    beta = _as_weight(rs, g.translation, "translation")
     moved = weyl.apply(rs, g.finite, h.translation)
-    return AffineWeylElement(g.translation + moved, weyl.compose(rs, g.finite, h.finite))
+    return AffineWeylElement(beta + moved, weyl.compose(rs, g.finite, h.finite))
 
 
 def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:

@@ -1,12 +1,15 @@
 """Finite Weyl group elements, plain and shifted (dot) actions.
 
-Elements are stored by their canonical reduced word: the lexicographically
-least reduced word, obtained by repeatedly stripping the smallest left
-descent.  Equality and hashing go through that canonical form.
+Elements are stored by their canonical word, the lexicographically least
+reduced word; equality and hashing go through it.  Every walk into the
+dominant chamber is :func:`_dominant_walk`, which reflects at the smallest
+simple index with a negative coordinate until none is left.
 
-Every walk into the dominant chamber is :func:`_dominant_walk`: it reflects
-at the smallest simple index with a negative coordinate until none is left,
-and records the letters it applies only when asked to.
+That walk also spells canonical words.  ``s_j`` is a left descent of ``w``
+iff ``w^{-1}(alpha_j) < 0`` iff coordinate ``j`` of ``w(rho)`` is negative.
+The lex-least reduced word is the smallest left descent ``j`` followed by
+the lex-least reduced word of ``s_j w``; walking ``w(rho)`` to ``rho``
+strips exactly those letters, so its letters are the canonical word.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError
 from .rootsys import RootSystem, Weight, _as_weight, pairing
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as its canonical (lex-least) reduced word.
+    """A Weyl group element as its canonical (lex-least) reduced word: the
+    letters of the dominant walk of ``w(rho)``.
 
     Construct via :func:`canonical_from_word` / :func:`compose` rather than
     directly, so that the word really is canonical.
@@ -52,82 +56,16 @@ def _reflect_in_place(rs: RootSystem, coords: list, i: int) -> None:
 
 
 def _apply_word(rs: RootSystem, word, coords) -> list:
-    """Apply s_{word[0]} ... s_{word[-1]} to coords (rightmost letter first)."""
+    """Apply s_{word[0]} ... s_{word[-1]} to coords (rightmost letter first),
+    checking that each letter is a simple index of ``rs``."""
+    n = rs.rank
     out = list(coords)
     for i in reversed(word):
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise DomainError(f"Weyl word {tuple(word)} has letter {i!r} "
+                              f"outside 0..{n - 1} for {rs.spec}")
         _reflect_in_place(rs, out, i)
     return out
-
-
-def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weight:
-    """w(lam) for the plain action, or w.lam = w(lam+rho)-rho when shifted."""
-    lam = _as_weight(rs, lam)
-    if shifted:
-        out = _apply_word(rs, w.word, [c + 1 for c in lam])
-        return Weight(c - 1 for c in out)
-    return Weight(_apply_word(rs, w.word, lam))
-
-
-def _canonical_from_inverse_rows(rs: RootSystem, minv: list[list]) -> tuple[int, ...]:
-    """Canonical word of w given the rows of w^{-1} (row i = image of e_i).
-
-    Greedy: the first letter of the lex-least reduced word is the smallest j
-    with w^{-1}(alpha_j) negative; strip it and repeat.
-    """
-    n = rs.rank
-    neg = rs.negative_root_set
-    word = []
-    cap = len(rs.positive_roots)
-    for _ in range(cap + 1):
-        if all(minv[i][k] == int(i == k) for i in range(n) for k in range(n)):
-            return tuple(word)
-        for j in range(n):
-            col_aj = rs.simple_roots[j]
-            # A plain tuple hashes and compares like the Weight it equals.
-            img = tuple(sum(minv[i][k] * col_aj[i] for i in range(n)) for k in range(n))
-            if img in neg:
-                word.append(j)
-                # w <- s_j w, hence w^{-1} <- w^{-1} s_j: only row j moves,
-                # since s_j(e_i) = e_i - delta_ij alpha_j.
-                minv[j] = [minv[j][k] - img[k] for k in range(n)]
-                break
-        else:
-            raise InternalInconsistencyError("no descent found for a non-identity element")
-    raise InternalInconsistencyError("canonicalization exceeded the longest-element length")
-
-
-def canonical_from_word(rs: RootSystem, word) -> WeylElement:
-    """Canonicalize an arbitrary (not necessarily reduced) word."""
-    n = rs.rank
-    rev = tuple(reversed(tuple(word)))
-    # Rows of minv are the images of the unit weights under w^{-1}.
-    minv = [_apply_word(rs, rev, [int(i == j) for j in range(n)]) for i in range(n)]
-    return WeylElement(_canonical_from_inverse_rows(rs, minv))
-
-
-def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
-    """The product w v (w applied after v)."""
-    return canonical_from_word(rs, w.word + v.word)
-
-
-def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    return canonical_from_word(rs, tuple(reversed(w.word)))
-
-
-def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
-    """The reflection s_alpha as a canonical Weyl element.
-
-    ``pairing`` refuses an ``alpha`` that is not a root of the system.
-    """
-    alpha = Weight(alpha)
-    n = rs.rank
-    # Rows of the (symmetric, involutive) matrix of s_alpha.
-    minv = []
-    for i in range(n):
-        e_i = [int(i == j) for j in range(n)]
-        c = pairing(rs, e_i, alpha)
-        minv.append([e_i[k] - c * alpha[k] for k in range(n)])
-    return WeylElement(_canonical_from_inverse_rows(rs, minv))
 
 
 def _dominant_walk(rs: RootSystem, x: list, letters: list | None = None) -> list:
@@ -146,6 +84,46 @@ def _dominant_walk(rs: RootSystem, x: list, letters: list | None = None) -> list
                 break
         else:
             return x
+
+
+def _word_of(rs: RootSystem, x: list) -> WeylElement:
+    """The element ``w`` with ``w(rho) = x``, for ``x`` in the rho-orbit: the
+    letters of the dominant walk of ``x`` (walked in place)."""
+    letters: list[int] = []
+    _dominant_walk(rs, x, letters)
+    return WeylElement(tuple(letters))
+
+
+def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weight:
+    """w(lam) for the plain action, or w.lam = w(lam+rho)-rho when shifted."""
+    lam = _as_weight(rs, lam)
+    if shifted:
+        out = _apply_word(rs, w.word, [c + 1 for c in lam])
+        return Weight(c - 1 for c in out)
+    return Weight(_apply_word(rs, w.word, lam))
+
+
+def canonical_from_word(rs: RootSystem, word) -> WeylElement:
+    """Canonicalize an arbitrary (not necessarily reduced) word: the letters
+    of the dominant walk of ``w(rho)``."""
+    return _word_of(rs, _apply_word(rs, tuple(word), rs.rho))
+
+
+def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
+    """The product w v (w applied after v)."""
+    return canonical_from_word(rs, w.word + v.word)
+
+
+def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
+    return canonical_from_word(rs, tuple(reversed(w.word)))
+
+
+def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
+    """The reflection s_alpha as the word of s_alpha(rho); ``pairing``
+    refuses an ``alpha`` that is not a root of the system."""
+    alpha = Weight(alpha)
+    c = pairing(rs, rs.rho, alpha)
+    return _word_of(rs, [r - c * a for r, a in zip(rs.rho, alpha)])
 
 
 def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
@@ -167,10 +145,9 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
     return rep, w, regular
 
 
-def orbit(rs: RootSystem, lam, *, shifted: bool = False) -> set[Weight]:
-    """The full finite orbit of lam under the chosen action."""
-    lam = _as_weight(rs, lam)
-    start = Weight([c + 1 for c in lam]) if shifted else lam
+def _orbit_points(rs: RootSystem, start: Weight, max_size: int | None = None) -> set[Weight]:
+    """Breadth-first closure of ``start`` under the simple reflections,
+    refused once it holds more than ``max_size`` points."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -183,17 +160,25 @@ def orbit(rs: RootSystem, lam, *, shifted: bool = False) -> set[Weight]:
                 if yw not in seen:
                     seen.add(yw)
                     new.append(yw)
+            if max_size is not None and len(seen) > max_size:
+                raise DomainError(f"Weyl group of {rs.spec} exceeds max_size={max_size}")
         frontier = new
-    if shifted:
-        return {Weight(c - 1 for c in x) for x in seen}
     return seen
+
+
+def orbit(rs: RootSystem, lam, *, shifted: bool = False) -> set[Weight]:
+    """The full finite orbit of lam under the chosen action."""
+    lam = _as_weight(rs, lam)
+    if shifted:
+        seen = _orbit_points(rs, Weight([c + 1 for c in lam]))
+        return {Weight(c - 1 for c in x) for x in seen}
+    return _orbit_points(rs, lam)
 
 
 @functools.lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w_0, read off from the dominant representative walk applied to -rho."""
-    _, w, _ = dominant_rep(rs, -rs.rho)
-    return w
+    """w_0, the word of w_0(rho) = -rho."""
+    return _word_of(rs, [-c for c in rs.rho])
 
 
 def bar_involution(rs: RootSystem, lam) -> Weight:
@@ -205,21 +190,10 @@ def bar_involution(rs: RootSystem, lam) -> Weight:
 
 
 def enumerate_elements(rs: RootSystem, max_size: int | None = 10 ** 6) -> list[WeylElement]:
-    """All elements of the finite Weyl group, sorted by (length, word).
+    """All elements of the finite Weyl group, sorted by (length, word): the
+    words of the rho-orbit, on which W acts simply transitively.
 
     Only sensible at small rank; ``max_size`` guards against accidents.
     """
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(rs.rank):
-                nxt = compose(rs, w, WeylElement((i,)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-            if max_size is not None and len(seen) > max_size:
-                raise DomainError(f"Weyl group of {rs.spec} exceeds max_size={max_size}")
-        frontier = new
-    return sorted(seen, key=lambda w: (w.length, w.word))
+    elements = [_word_of(rs, list(x)) for x in _orbit_points(rs, rs.rho, max_size)]
+    return sorted(elements, key=lambda w: (w.length, w.word))

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from afftrans import weyl
+from afftrans import affine, translate, weyl
+from afftrans.affine import AffineWeylElement, Level, identity_element
 from afftrans.errors import DomainError
 from afftrans.rootsys import Weight, root_system
 from afftrans.weyl import IDENTITY, WeylElement
@@ -246,11 +249,18 @@ def test_enumerate_elements_matches_group_order(name):
 
 
 def test_enumerate_elements_size_guard():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="Weyl group of B3 exceeds max_size=10$"):
         weyl.enumerate_elements(root_system("B3"), max_size=10)
+    # the threshold is exactly the group order
+    for name in ("B3", "G2"):
+        rs = root_system(name)
+        order = oracles.weyl_order(name[0], int(name[1:]))
+        assert len(weyl.enumerate_elements(rs, max_size=order)) == order
+        with pytest.raises(DomainError, match=f"exceeds max_size={order - 1}$"):
+            weyl.enumerate_elements(rs, max_size=order - 1)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
 def test_elements_realise_the_matrix_group(name):
     # canonical words and the independent matrix BFS give the same group,
     # with the same length function
@@ -278,3 +288,51 @@ def test_reflection_in_root():
         assert weyl.reflection_in_root(a2, -alpha) == WeylElement((i,))
     with pytest.raises(DomainError):
         weyl.reflection_in_root(a2, Weight([1, 1]) * 2)
+
+
+WORD_TYPES = ["A3", "B3", "C3", "D4", "F4", "G2"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(WORD_TYPES).flatmap(lambda name: st.tuples(
+    st.just(name), st.lists(st.integers(0, int(name[1:]) - 1), max_size=40))))
+def test_canonical_word_of_random_words(case):
+    # the raw word's matrix comes from the oracle's reflection matrices, its
+    # length from the oracle's breadth-first closure of the group
+    name, word = case
+    rs = root_system(name)
+    cartan = oracles.cartan_matrix(name[0], int(name[1:]))
+    gens = oracles.reflection_matrices(cartan)
+    raw = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    for letter in word:
+        raw = oracles._mat_mul(raw, gens[letter])
+    w = weyl.canonical_from_word(rs, word)
+    assert _matrix(rs, w) == raw
+    assert w.length == oracles.weyl_group(cartan)[raw]
+    assert weyl.canonical_from_word(rs, w.word) == w
+
+
+# ---------------------------------------------------------------------------
+# malformed group elements
+
+
+_A2 = root_system("A2")
+_BAD_FINITE = AffineWeylElement(Weight([0, 0]), WeylElement((7,)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: weyl.canonical_from_word(_A2, [-1]), id="negative-letter"),
+    pytest.param(lambda: weyl.canonical_from_word(_A2, [5]), id="letter-past-rank"),
+    pytest.param(lambda: weyl.apply(_A2, WeylElement((5,)), [1, 0]), id="apply"),
+    pytest.param(lambda: affine.affine_apply(_A2, _BAD_FINITE, [0, 0], Level(5, 1)),
+                 id="affine-apply"),
+    pytest.param(lambda: translate.translate_weyl(
+        _A2, _BAD_FINITE, [0, 0], [1, 0], Level(5, 1)), id="translate-weyl"),
+    pytest.param(lambda: affine.compose_affine(
+        _A2, AffineWeylElement(Weight([5]), IDENTITY), identity_element(2)),
+        id="compose-affine-wrong-rank-translation"),
+])
+def test_malformed_group_elements_raise_domain_error(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert "\n" not in str(info.value)
