@@ -72,6 +72,12 @@ class AffineWeylElement:
         return self.finite.is_identity and not any(self.translation)
 
 
+def _canonical_element(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
+    """``g`` with its finite part respelled by the canonical word, so that two
+    spellings of one element compare and hash equal."""
+    return AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+
+
 def identity_element(rank: int) -> AffineWeylElement:
     return AffineWeylElement(Weight.zero(rank), IDENTITY)
 

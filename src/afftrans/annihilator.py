@@ -30,6 +30,9 @@ def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabe
     """Validated label set: non-identity generators with dominant images."""
     base = _as_alcove_weight(rs, base, level, "base")
     gens = frozenset(generators)
+    respelled = frozenset(affine._canonical_element(rs, g) for g in gens)
+    if respelled != gens:  # else keep the caller's set: transport follows its order
+        gens = respelled
     for g in gens:
         if g.is_identity:
             raise DomainError("the identity labels the whole module, "

@@ -10,7 +10,8 @@ prints one JSON object per line carrying the same field names and values.
 Exit codes: 0 success, 1 domain error (one-line ``error: ...`` diagnostic on
 stderr), 2 usage error.  The dimension guard for tensor computations is, in
 order of precedence: ``--cap``, the ``AFFTRANS_CAP`` environment variable,
-then the library default.
+then the library default.  ``tensor --oracle`` answers through the independent
+Weyl-character read-off; the package imports only the standard library.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", type=_weight_arg)
     p.add_argument("mu", type=_weight_arg)
     p.add_argument("--oracle", action="store_true",
-                   help="use the convolve-and-strip path")
+                   help="use the independent Weyl-character read-off")
 
     p = add("filtration", _cmd_filtration, None,
             "Weyl (or, with --verma, Verma) filtration multiplicities")

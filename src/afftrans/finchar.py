@@ -3,19 +3,22 @@
 Weight multiplicities via Freudenthal's recursion, exact Weyl dimensions,
 and tensor-product decomposition by the signed-reflection (Racah) rule.
 ``tensor_oracle`` recomputes the decomposition along an independent path —
-multiply the two characters as lattice polynomials, then strip highest
-weights greedily — and is used to cross-check the fast path.
+multiply the two characters as lattice polynomials, then read the Weyl
+character formula off the product — and is used to cross-check the fast path.
 
 All arithmetic is in exact integers: the form scaled by ``RootSystem.form_den``,
-character convolution via big-integer packing (never floating point).
+character convolution via big-integer packing (never floating point).  Only
+the standard library is used.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
-
-import numpy as np
+from math import prod
+from operator import le, mul
+from struct import calcsize
 
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
@@ -62,25 +65,19 @@ def _root_data(rs: RootSystem):
     return tuple(out)
 
 
-def _dominant_below(rs: RootSystem, lam: Weight):
-    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum.
-
-    ``drop`` is the simple-root coordinate vector of lam - nu.  Every such nu
-    is in fact a weight of the module with highest weight lam.
-    """
-    n = rs.rank
-    cartan = rs.cartan
+@lru_cache(maxsize=4096)
+def _dominant_below(rs: RootSystem, lam: Weight) -> tuple:
+    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum
+    with simple-root coordinates ``drop``; every such nu is a weight of V_lam."""
     # The inverse Cartan matrix has positive entries, so drops are bounded
     # componentwise by the root coordinates of lam itself.
-    tops = [int(c) for c in root_coords(rs, lam)]
-    cells = []
-    for drop in itertools.product(*(range(t + 1) for t in tops)):
-        nu = tuple(lam[r] - sum(cartan[r][i] * drop[i] for i in range(n))
-                   for r in range(n))
-        if all(c >= 0 for c in nu):
-            cells.append((drop, Weight(nu)))
-    cells.sort(key=lambda cell: (sum(cell[0]), cell[0]))
-    return cells
+    cells = [((), tuple(lam))]
+    for i, top in enumerate(root_coords(rs, lam)):
+        alpha = [row[i] for row in rs.cartan]
+        cells = [(drop + (d,), tuple(c - d * a for c, a in zip(nu, alpha)))
+                 for drop, nu in cells for d in range(int(top) + 1)]
+    cells = [(drop, Weight(nu)) for drop, nu in cells if min(nu) >= 0]
+    return tuple(sorted(cells, key=lambda cell: (sum(cell[0]), cell[0])))
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +128,8 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
 @lru_cache(maxsize=None)
 def _char_items(rs: RootSystem, lam: Weight):
     """Full weight support of the character, as sorted (weight, mult) pairs."""
-    items = []
-    for nu, m in _dominant_mults(rs, lam).items():
-        for x in weyl.orbit(rs, nu):
-            items.append((x, m))
-    items.sort()
-    return tuple(items)
+    return tuple(sorted((x, m) for nu, m in _dominant_mults(rs, lam).items()
+                        for x in weyl.orbit(rs, nu)))
 
 
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
@@ -171,12 +164,9 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
         if 0 in coords:
             continue  # on a wall: contributes 0
         key = Weight(c - 1 for c in coords)
-        new = out.get(key, 0) + (-m if len(letters) % 2 else m)
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    if any(v <= 0 for v in out.values()):
+        out[key] = out.get(key, 0) + (-m if len(letters) % 2 else m)
+    out = {nu: v for nu, v in out.items() if v}
+    if any(v < 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")
     mass = sum(v * _dim(rs, nu) for nu, v in out.items())
@@ -187,77 +177,86 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
 
 
 @lru_cache(maxsize=None)
-def _char_drop_array(rs: RootSystem, lam: Weight) -> np.ndarray:
-    """Character on the root-drop grid: cell c holds dim V_lam[lam - c.alpha]."""
-    # The largest drop is to the lowest weight w0(lam) = -bar(lam).
-    span = lam + weyl.bar_involution(rs, lam)
-    shape = tuple(int(c) + 1 for c in root_coords(rs, span))
-    arr = np.zeros(shape, dtype=np.int64)
-    for nu, m in _char_items(rs, lam):
-        drop = root_coords(rs, lam - nu)
-        arr[tuple(int(c) for c in drop)] = m
-    arr.setflags(write=False)
-    return arr
+def _char_grid(rs: RootSystem, lam: Weight):
+    """Box shape and (drop, mult) cells of the character; drop = rc(lam - nu)."""
+    cells = tuple((tuple(root_coords(rs, lam - nu)), m)
+                  for nu, m in _char_items(rs, lam))
+    return tuple(max(axis) + 1 for axis in zip(*(d for d, _ in cells))), cells
 
 
-def _convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer convolution by packing each array into one big integer.
+@lru_cache(maxsize=4096)
+def _alternant(rs: RootSystem, bound: tuple) -> tuple:
+    """Terms (drop of w(rho) below rho, eps(w)) of e^{-rho} A_rho with drop
+    at most ``bound``: breadth-first from rho through length-raising simple
+    reflections, along which the drop only grows; eps is the depth's parity."""
+    level, sign, terms = {tuple(rs.rho): (0,) * rs.rank}, 1, []
+    while level:
+        terms.extend((drop, sign) for drop in level.values())
+        level, sign = {tuple(a - c * b for a, b in zip(x, rs.simple_roots[i])):
+                       drop[:i] + (drop[i] + c,) + drop[i + 1:]
+                       for x, drop in level.items() for i, c in enumerate(x)
+                       if 0 < c <= bound[i] - drop[i]}, -sign
+    return tuple(terms)
 
-    Cells become 64-bit limbs positioned by their flat index in the output
-    box; one big-int multiply then performs the whole convolution without
-    overflow as long as every output coefficient fits in a limb.
-    """
-    out_shape = tuple(x + y - 1 for x, y in zip(a.shape, b.shape))
-    total = int(np.prod(out_shape))
 
-    def pack(arr: np.ndarray) -> int:
-        grid = np.indices(arr.shape).reshape(arr.ndim, -1)
-        flat = np.ravel_multi_index(grid, out_shape)
-        buf = np.zeros(total, dtype="<u8")
-        buf[flat] = arr.ravel()
-        return int.from_bytes(buf.tobytes(), "little")
-
-    product = pack(a) * pack(b)
-    buf = np.frombuffer(product.to_bytes(8 * total, "little"), dtype="<u8")
-    return buf.astype(np.int64).reshape(out_shape)
+def _weyl_invariant(rs: RootSystem, top: Weight, shape, strides, cells) -> bool:
+    """Whether the flat drop grid below ``top`` is fixed by every s_i: s_i
+    sends d_i to k - d_i, k = top_i - sum_{j != i} cartan[i][j] d_j, so each
+    line through a nonzero cell is a palindrome about k/2, zero off [0, k]."""
+    support = list(itertools.compress(range(len(cells)), cells))
+    for i, (size, step, row) in enumerate(zip(shape, strides, rs.cartan)):
+        links = [(row[j], strides[j], shape[j])
+                 for j in range(rs.rank) if j != i and row[j]]
+        for at in {f - f // step % size * step for f in support}:
+            k = top[i] - sum(c * (at // st % n) for c, st, n in links)
+            line = cells[at:at + size * step:step]
+            lo = min(max(0, k - size + 1), size)
+            hi = max(min(size, k + 1), lo)
+            if line[lo:hi] != line[lo:hi][::-1] or any(line[:lo]) or any(line[hi:]):
+                return False
+    return True
 
 
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
-    """Independent tensor decomposition: convolve characters, strip greedily.
+    """Independent tensor decomposition by the Weyl character formula.
 
-    Must agree with :func:`tensor_decompose`; a negative intermediate
-    multiplicity or a nonzero residue raises an inconsistency error.
+    One integer multiply convolves the character grids (Kronecker
+    substitution: each cell is a limb at its flat index in the product box).
+    The product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho
+    - w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
     """
-    lam = _as_weight(rs, lam, dominant=True)
-    mu = _as_weight(rs, mu, dominant=True)
+    lam, mu = _as_weight(rs, lam, dominant=True), _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
-    arr = _convolve_exact(_char_drop_array(rs, lam), _char_drop_array(rs, mu))
+    grids = (_char_grid(rs, lam), _char_grid(rs, mu))
+    # No product cell exceeds the product of the two characters' masses.
+    largest = prod(sum(m for _, m in cells) for _, cells in grids)
+    limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
+    if limb is None:
+        raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
+    shape = tuple(a + b - 1 for a, b in zip(grids[0][0], grids[1][0]))
+    strides = [prod(shape[i + 1:]) for i in range(rs.rank)]
+    size = prod(shape) * calcsize(limb)
+    product = 1
+    for _, cells in grids:
+        limbs = memoryview(bytearray(size)).cast(limb)
+        for drop, m in cells:
+            limbs[sum(map(mul, drop, strides))] = m
+        product *= int.from_bytes(limbs, sys.byteorder)
+    out = memoryview(product.to_bytes(size, sys.byteorder)).cast(limb).tolist()
     top = lam + mu
-    n = rs.rank
-    # Locate the dominant cells of the output box and order them by total
-    # drop, i.e. by descending height, so highest weights are read first.
-    grid = np.indices(arr.shape).reshape(n, -1)
-    nu_grid = np.asarray(top, dtype=np.int64)[:, None] \
-        - np.asarray(rs.cartan, dtype=np.int64) @ grid
-    dominant = np.nonzero((nu_grid >= 0).all(axis=0))[0]
-    order = dominant[np.argsort(grid[:, dominant].sum(axis=0), kind="stable")]
-
-    flat = arr.reshape(-1)
-    result: dict = {}
-    for cell in order:
-        v = int(flat[cell])
-        if v == 0:
-            continue
-        nu = Weight(int(c) for c in nu_grid[:, cell])
-        if v < 0:
-            raise InternalInconsistencyError(
-                f"greedy strip drove the multiplicity of {nu} negative")
-        comp = _char_drop_array(rs, nu)
-        drop = grid[:, cell]
-        window = tuple(slice(int(c), int(c) + s) for c, s in zip(drop, comp.shape))
-        arr[window] -= v * comp
-        result[nu] = v
-    if arr.any():
+    if not _weyl_invariant(rs, top, shape, strides, out):
         raise InternalInconsistencyError(
-            f"nonzero residue after stripping {lam} x {mu}")
+            f"character product {lam} x {mu} is not Weyl-invariant")
+    bound = tuple(int(c) for c in root_coords(rs, top))  # every dominant drop
+    terms = [(d, sum(map(mul, d, strides)), eps) for d, eps in _alternant(rs, bound)]
+    result: dict = {}
+    for drop, nu in _dominant_below(rs, top):
+        at = sum(map(mul, drop, strides))
+        n_nu = sum(eps * out[at - shift] for d, shift, eps in terms
+                   if all(map(le, d, drop)))
+        if n_nu < 0:
+            raise InternalInconsistencyError(
+                f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu}")
+        if n_nu:
+            result[nu] = n_nu
     return dict(sorted(result.items()))

@@ -125,6 +125,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     """
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
+    g = affine._canonical_element(rs, g)  # compared with canonical elements below
     start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
     if height > bound:
@@ -174,6 +175,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
     for g, c in coeffs.items():
         if c == 0:
             continue
+        g = affine._canonical_element(rs, g)
         image = affine.affine_apply(rs, g, base, level)
         if not image.is_dominant:
             raise DomainError(f"key {g} sends {base} to {image}, "

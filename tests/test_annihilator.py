@@ -119,6 +119,14 @@ def test_make_labels_rejects_nondominant_image():
         annihilator.make_labels(A1, Weight([0]), {s}, lvl(5))
 
 
+def test_make_labels_keeps_one_generator_per_element():
+    # s1s2s1 and s2s1s2 spell the same finite part
+    g1, g2 = (affine.AffineWeylElement(Weight([5, 5]), WeylElement(word))
+              for word in ((0, 1, 0), (1, 0, 1)))
+    labels = annihilator.make_labels(A2, Weight([0, 0]), [g1, g2], lvl(5))
+    assert labels.generators == frozenset({g1})
+
+
 # ---------------------------------------------------------------------------
 # transport
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -310,3 +312,17 @@ def test_transport_command(capsys):
 def test_no_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_import_needs_no_numpy():
+    # the library and its CLI run on the standard library alone
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import afftrans, afftrans.cli; print('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"

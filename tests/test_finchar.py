@@ -195,17 +195,72 @@ def test_oracle_examples():
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2, root_system("A3"),
-                                root_system("B3"), root_system("C3")])
+                                root_system("B3"), root_system("C3"),
+                                root_system("D4"), root_system("F4")])
 def test_oracle_agrees_with_decompose(rs):
     # the acceptance suite sweeps this exhaustively; here a quick sample,
-    # with small coordinates at rank 3 to keep the characters small
+    # with small coordinates from rank 3 on and, at rank 4, a dimension
+    # product of at most 10^4 to keep the characters small
     rng = random.Random(99)
     top = 3 if rs.rank <= 2 else 1
-    for _ in range(12):
+    checked = 0
+    while checked < 12:
         lam = Weight(rng.randint(0, top) for _ in range(rs.rank))
         mu = Weight(rng.randint(0, top) for _ in range(rs.rank))
+        if rs.rank >= 4 and finchar.dimension(rs, lam) * finchar.dimension(rs, mu) > 10 ** 4:
+            continue
         assert finchar.tensor_oracle(rs, lam, mu) == \
             finchar.tensor_decompose(rs, lam, mu)
+        checked += 1
+
+
+@pytest.mark.parametrize("rs,lam,mu,dropped,match", [
+    # the product loses its Weyl symmetry
+    (A2, [1, 1], [1, 0], [1, 0], "not Weyl-invariant"),
+    # still symmetric, but chi_2 - chi_0 reads N_0 = -1
+    (A1, [0], [2], [0], "multiplicity -1"),
+])
+def test_oracle_self_check_catches_a_lost_weight(monkeypatch, rs, lam, mu, dropped, match):
+    real = finchar._char_grid
+    lost = tuple(root_coords(rs, Weight(mu) - Weight(dropped)))
+
+    def grid_without_one_weight(rs_, wt):
+        shape, cells = real(rs_, wt)
+        if wt == Weight(mu):
+            cells = tuple(cell for cell in cells if cell[0] != lost)
+        return shape, cells
+
+    monkeypatch.setattr(finchar, "_char_grid", grid_without_one_weight)
+    with pytest.raises(InternalInconsistencyError, match=match):
+        finchar.tensor_oracle(rs, Weight(lam), Weight(mu))
+
+
+@pytest.mark.parametrize("mult,fits", [(2 ** 32 - 1, True), (2 ** 32, False)])
+def test_oracle_cell_width_follows_the_masses(monkeypatch, mult, fits):
+    # a trivial grid of mass ``mult`` squared: one product cell, kept exact up
+    # to a 64-bit limb and refused beyond it
+    monkeypatch.setattr(finchar, "_char_grid", lambda rs, wt: ((1,), (((0,), mult),)))
+    zero = Weight([0])
+    if fits:
+        assert finchar.tensor_oracle(A1, zero, zero) == {zero: mult * mult}
+    else:
+        with pytest.raises(DimensionCapError, match="64-bit"):
+            finchar.tensor_oracle(A1, zero, zero)
+
+
+def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):
+    # with both characters built, the read-off must not reuse the walk that
+    # tensor_decompose is built on
+    lam, mu = Weight([2, 1]), Weight([1, 1])
+    want = finchar.tensor_decompose(B2, lam, mu)
+    finchar.weight_multiplicities(B2, lam)
+    finchar.weight_multiplicities(B2, mu)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor_oracle called weyl._dominant_walk")
+
+    monkeypatch.setattr(weyl, "_dominant_walk", refuse)
+    assert finchar.tensor_oracle(B2, lam, mu) == want
 
 
 def test_oracle_dimension_guard():

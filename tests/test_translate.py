@@ -147,6 +147,23 @@ def test_verify_weight_geometry_bound_guard():
 # characters
 
 
+# s1s2s1 and s2s1s2 spell one element, the longest element of A2's Weyl group
+W0_SPELLINGS = [AffineWeylElement(Weight([5, 5]), WeylElement(word))
+                for word in ((0, 1, 0), (1, 0, 1))]
+
+
+@pytest.mark.parametrize("g", W0_SPELLINGS, ids=["s1s2s1", "s2s1s2"])
+def test_verify_weight_geometry_reads_any_spelling(g):
+    assert translate.verify_weight_geometry(
+        A2, Weight([0, 0]), Weight([0, 0]), g, P5, 20)
+
+
+def test_make_character_stores_the_canonical_spelling():
+    canonical, other = W0_SPELLINGS
+    chi = translate.make_character(A2, Weight([0, 0]), {other: 1}, P5)
+    assert chi.coeffs == {canonical: 1}
+
+
 def test_make_character_orders_and_validates():
     chi = translate.make_character(A1, Weight([0]), {SAFF: 1, E1: 1}, P5)
     assert list(chi.coeffs) == [E1, SAFF]  # identity sorts first
