@@ -17,7 +17,7 @@ import itertools
 import sys
 from functools import lru_cache
 from math import prod
-from operator import le, mul
+from operator import add, le, mul
 from struct import calcsize
 
 from . import weyl
@@ -65,19 +65,25 @@ def _root_data(rs: RootSystem):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
-def _dominant_below(rs: RootSystem, lam: Weight) -> tuple:
-    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum
-    with simple-root coordinates ``drop``; every such nu is a weight of V_lam."""
+def _dominant_below(rs: RootSystem, lam: Weight):
+    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum.
+
+    ``drop`` is the simple-root coordinate vector of lam - nu.  Every such nu
+    is in fact a weight of the module with highest weight lam.
+    """
+    n = rs.rank
+    cartan = rs.cartan
     # The inverse Cartan matrix has positive entries, so drops are bounded
     # componentwise by the root coordinates of lam itself.
-    cells = [((), tuple(lam))]
-    for i, top in enumerate(root_coords(rs, lam)):
-        alpha = [row[i] for row in rs.cartan]
-        cells = [(drop + (d,), tuple(c - d * a for c, a in zip(nu, alpha)))
-                 for drop, nu in cells for d in range(int(top) + 1)]
-    cells = [(drop, Weight(nu)) for drop, nu in cells if min(nu) >= 0]
-    return tuple(sorted(cells, key=lambda cell: (sum(cell[0]), cell[0])))
+    tops = [int(c) for c in root_coords(rs, lam)]
+    cells = []
+    for drop in itertools.product(*(range(t + 1) for t in tops)):
+        nu = tuple(lam[r] - sum(cartan[r][i] * drop[i] for i in range(n))
+                   for r in range(n))
+        if all(c >= 0 for c in nu):
+            cells.append((drop, Weight(nu)))
+    cells.sort(key=lambda cell: (sum(cell[0]), cell[0]))
+    return cells
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +134,12 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
 @lru_cache(maxsize=None)
 def _char_items(rs: RootSystem, lam: Weight):
     """Full weight support of the character, as sorted (weight, mult) pairs."""
-    return tuple(sorted((x, m) for nu, m in _dominant_mults(rs, lam).items()
-                        for x in weyl.orbit(rs, nu)))
+    items = []
+    for nu, m in _dominant_mults(rs, lam).items():
+        for x in weyl.orbit(rs, nu):
+            items.append((x, m))
+    items.sort()
+    return tuple(items)
 
 
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
@@ -164,9 +174,12 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
         if 0 in coords:
             continue  # on a wall: contributes 0
         key = Weight(c - 1 for c in coords)
-        out[key] = out.get(key, 0) + (-m if len(letters) % 2 else m)
-    out = {nu: v for nu, v in out.items() if v}
-    if any(v < 0 for v in out.values()):
+        new = out.get(key, 0) + (-m if len(letters) % 2 else m)
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    if any(v <= 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")
     mass = sum(v * _dim(rs, nu) for nu, v in out.items())
@@ -176,84 +189,92 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     return dict(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
-def _char_grid(rs: RootSystem, lam: Weight):
-    """Box shape and (drop, mult) cells of the character; drop = rc(lam - nu)."""
-    cells = tuple((tuple(root_coords(rs, lam - nu)), m)
-                  for nu, m in _char_items(rs, lam))
-    return tuple(max(axis) + 1 for axis in zip(*(d for d, _ in cells))), cells
-
-
-@lru_cache(maxsize=4096)
-def _alternant(rs: RootSystem, bound: tuple) -> tuple:
-    """Terms (drop of w(rho) below rho, eps(w)) of e^{-rho} A_rho with drop
-    at most ``bound``: breadth-first from rho through length-raising simple
-    reflections, along which the drop only grows; eps is the depth's parity."""
-    level, sign, terms = {tuple(rs.rho): (0,) * rs.rank}, 1, []
+def _descend(rs: RootSystem, start: Weight, bound: tuple | None = None) -> list:
+    """(drop rc(start - x), depth parity) for every x in the W-orbit of the
+    dominant ``start`` whose drop is at most ``bound``: breadth-first through
+    the simple reflections that lower x, along which the drop only grows.
+    From the regular start rho the depth parity is eps(w)."""
+    level, sign, terms = {tuple(start): (0,) * rs.rank}, 1, []
     while level:
         terms.extend((drop, sign) for drop in level.values())
         level, sign = {tuple(a - c * b for a, b in zip(x, rs.simple_roots[i])):
                        drop[:i] + (drop[i] + c,) + drop[i + 1:]
                        for x, drop in level.items() for i, c in enumerate(x)
-                       if 0 < c <= bound[i] - drop[i]}, -sign
-    return tuple(terms)
+                       if 0 < c and (bound is None or drop[i] + c <= bound[i])}, -sign
+    return terms
 
 
-def _weyl_invariant(rs: RootSystem, top: Weight, shape, strides, cells) -> bool:
-    """Whether the flat drop grid below ``top`` is fixed by every s_i: s_i
-    sends d_i to k - d_i, k = top_i - sum_{j != i} cartan[i][j] d_j, so each
-    line through a nonzero cell is a palindrome about k/2, zero off [0, k]."""
-    support = list(itertools.compress(range(len(cells)), cells))
-    for i, (size, step, row) in enumerate(zip(shape, strides, rs.cartan)):
-        links = [(row[j], strides[j], shape[j])
-                 for j in range(rs.rank) if j != i and row[j]]
-        for at in {f - f // step % size * step for f in support}:
-            k = top[i] - sum(c * (at // st % n) for c, st, n in links)
-            line = cells[at:at + size * step:step]
-            lo = min(max(0, k - size + 1), size)
-            hi = max(min(size, k + 1), lo)
-            if line[lo:hi] != line[lo:hi][::-1] or any(line[:lo]) or any(line[hi:]):
-                return False
-    return True
+@lru_cache(maxsize=4096)
+def _orbit_cells(rs: RootSystem, lam: Weight) -> tuple:
+    """Per dominant nu below lam: (drop, nu, drops rc(lam - x) over W.nu)."""
+    return tuple((drop, nu, tuple(tuple(map(add, drop, d)) for d, _ in _descend(rs, nu)))
+                 for drop, nu in _dominant_below(rs, lam))
+
+
+@lru_cache(maxsize=None)
+def _char_grid(rs: RootSystem, lam: Weight) -> tuple:
+    """The character of V_lam as (drop, mult) cells, drop = rc(lam - x)."""
+    mults = _dominant_mults(rs, lam)
+    return tuple((d, mults[nu]) for _, nu, drops in _orbit_cells(rs, lam) for d in drops)
+
+
+@lru_cache(maxsize=4096)
+def _product_plan(rs: RootSystem, top: Weight) -> tuple:
+    """Flat layout of a character product with highest weight ``top``: its box
+    strides and size and, per dominant nu below top, nu, the cells of W.nu
+    and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1."""
+    rows = _orbit_cells(rs, top)
+    shape = [max(axis) + 1 for axis in zip(*rows[0][2])]  # W.top reaches w0(top)
+    strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
+    terms = _descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))
+    plan = []
+    for drop, nu, drops in rows:
+        at, signed = sum(map(mul, drop, strides)), ([], [])
+        for d, eps in terms:
+            if all(map(le, d, drop)):
+                signed[eps < 0].append(at - sum(map(mul, d, strides)))
+        plan.append((nu, tuple(sum(map(mul, d, strides)) for d in drops),
+                     *map(tuple, signed)))
+    return strides, prod(shape), tuple(plan)
 
 
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     """Independent tensor decomposition by the Weyl character formula.
 
-    One integer multiply convolves the character grids (Kronecker
-    substitution: each cell is a limb at its flat index in the product box).
-    The product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho
-    - w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
+    One integer multiply convolves the two characters (Kronecker
+    substitution: each cell is a limb at its flat index in the product box,
+    as wide as the product of the two characters' masses needs).  The
+    product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho -
+    w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
     """
-    lam, mu = _as_weight(rs, lam, dominant=True), _as_weight(rs, mu, dominant=True)
+    lam = _as_weight(rs, lam, dominant=True)
+    mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     grids = (_char_grid(rs, lam), _char_grid(rs, mu))
     # No product cell exceeds the product of the two characters' masses.
-    largest = prod(sum(m for _, m in cells) for _, cells in grids)
+    largest = prod(sum(m for _, m in cells) for cells in grids)
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
-    shape = tuple(a + b - 1 for a, b in zip(grids[0][0], grids[1][0]))
-    strides = [prod(shape[i + 1:]) for i in range(rs.rank)]
-    size = prod(shape) * calcsize(limb)
+    strides, cells_in_box, plan = _product_plan(rs, lam + mu)
+    size = cells_in_box * calcsize(limb)
     product = 1
-    for _, cells in grids:
+    for cells in grids:
         limbs = memoryview(bytearray(size)).cast(limb)
         for drop, m in cells:
             limbs[sum(map(mul, drop, strides))] = m
         product *= int.from_bytes(limbs, sys.byteorder)
     out = memoryview(product.to_bytes(size, sys.byteorder)).cast(limb).tolist()
-    top = lam + mu
-    if not _weyl_invariant(rs, top, shape, strides, out):
+    # Weyl-invariant iff every orbit below the top is constant and holds
+    # every nonzero cell of the box.
+    orbits = [orbit for _, orbit, _, _ in plan if out[orbit[0]]]
+    if (sum(map(len, orbits)) != len(out) - out.count(0)
+            or any(len(set(map(out.__getitem__, orbit))) > 1 for orbit in orbits)):
         raise InternalInconsistencyError(
             f"character product {lam} x {mu} is not Weyl-invariant")
-    bound = tuple(int(c) for c in root_coords(rs, top))  # every dominant drop
-    terms = [(d, sum(map(mul, d, strides)), eps) for d, eps in _alternant(rs, bound)]
     result: dict = {}
-    for drop, nu in _dominant_below(rs, top):
-        at = sum(map(mul, drop, strides))
-        n_nu = sum(eps * out[at - shift] for d, shift, eps in terms
-                   if all(map(le, d, drop)))
+    for nu, _, plus, minus in plan:
+        n_nu = sum(map(out.__getitem__, plus)) - sum(map(out.__getitem__, minus))
         if n_nu < 0:
             raise InternalInconsistencyError(
                 f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu}")

@@ -176,6 +176,8 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
         if c == 0:
             continue
         g = affine._canonical_element(rs, g)
+        if g in cleaned:
+            raise DomainError(f"two keys spell the element {g}")
         image = affine.affine_apply(rs, g, base, level)
         if not image.is_dominant:
             raise DomainError(f"key {g} sends {base} to {image}, "

@@ -214,23 +214,27 @@ def test_oracle_agrees_with_decompose(rs):
         checked += 1
 
 
-@pytest.mark.parametrize("rs,lam,mu,dropped,match", [
-    # the product loses its Weyl symmetry
-    (A2, [1, 1], [1, 0], [1, 0], "not Weyl-invariant"),
-    # still symmetric, but chi_2 - chi_0 reads N_0 = -1
-    (A1, [0], [2], [0], "multiplicity -1"),
+@pytest.mark.parametrize("rs,lam,mu,drop,mult,match", [
+    # a lost weight: the top orbit empties at the top but not elsewhere
+    (A2, [1, 1], [1, 0], (0, 0), 0, "not Weyl-invariant"),
+    # a doubled weight: every orbit keeps its cells, one orbit is uneven
+    (A1, [0], [2], (2,), 2, "not Weyl-invariant"),
+    # a stray cell: in the box of [0,0] x [1,1] but no weight of V_[1,1]
+    (A2, [0, 0], [1, 1], (0, 2), 1, "not Weyl-invariant"),
+    # a lost weight that keeps the symmetry: chi_2 - e^0 reads N_0 = -1
+    (A1, [0], [2], (1,), 0, "multiplicity -1"),
 ])
-def test_oracle_self_check_catches_a_lost_weight(monkeypatch, rs, lam, mu, dropped, match):
+def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, drop, mult, match):
+    # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``
     real = finchar._char_grid
-    lost = tuple(root_coords(rs, Weight(mu) - Weight(dropped)))
 
-    def grid_without_one_weight(rs_, wt):
-        shape, cells = real(rs_, wt)
+    def grid_with_one_cell_changed(rs_, wt):
+        cells = dict(real(rs_, wt))
         if wt == Weight(mu):
-            cells = tuple(cell for cell in cells if cell[0] != lost)
-        return shape, cells
+            cells[drop] = mult
+        return tuple((d, m) for d, m in cells.items() if m)
 
-    monkeypatch.setattr(finchar, "_char_grid", grid_without_one_weight)
+    monkeypatch.setattr(finchar, "_char_grid", grid_with_one_cell_changed)
     with pytest.raises(InternalInconsistencyError, match=match):
         finchar.tensor_oracle(rs, Weight(lam), Weight(mu))
 
@@ -239,7 +243,7 @@ def test_oracle_self_check_catches_a_lost_weight(monkeypatch, rs, lam, mu, dropp
 def test_oracle_cell_width_follows_the_masses(monkeypatch, mult, fits):
     # a trivial grid of mass ``mult`` squared: one product cell, kept exact up
     # to a 64-bit limb and refused beyond it
-    monkeypatch.setattr(finchar, "_char_grid", lambda rs, wt: ((1,), (((0,), mult),)))
+    monkeypatch.setattr(finchar, "_char_grid", lambda rs, wt: (((0,), mult),))
     zero = Weight([0])
     if fits:
         assert finchar.tensor_oracle(A1, zero, zero) == {zero: mult * mult}

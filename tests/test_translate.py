@@ -164,6 +164,15 @@ def test_make_character_stores_the_canonical_spelling():
     assert chi.coeffs == {canonical: 1}
 
 
+def test_make_character_refuses_two_spellings_of_one_key():
+    # one coefficient must not silently overwrite the other
+    canonical, other = W0_SPELLINGS
+    with pytest.raises(DomainError, match="two keys spell"):
+        translate.make_character(A2, Weight([0, 0]), {canonical: 1, other: 2}, P5)
+    chi = translate.make_character(A2, Weight([0, 0]), {canonical: 0, other: 2}, P5)
+    assert chi.coeffs == {canonical: 2}
+
+
 def test_make_character_orders_and_validates():
     chi = translate.make_character(A1, Weight([0]), {SAFF: 1, E1: 1}, P5)
     assert list(chi.coeffs) == [E1, SAFF]  # identity sorts first
