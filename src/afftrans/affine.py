@@ -15,32 +15,43 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import weyl
-from .errors import DomainError, IterationLimitError
-from .rootsys import RootSystem, Weight, _as_weight, root_coords
+from .errors import DomainError, InexactCoordinateError, IterationLimitError
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen, root_coords
 from .weyl import IDENTITY, WeylElement
 
 _ALCOVE_WALK_CAP = 10 ** 6
+_DOMINANT_BOX_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(_Frozen):
     """Shifted level t = p/q > 0 in lowest terms (t = k + dual Coxeter)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise DomainError(f"level must have integer p, q, got {self.p}/{self.q}")
-        if self.p <= 0 or self.q <= 0:
-            raise DomainError(f"shifted level must be positive, got {self.p}/{self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise DomainError(f"level {self.p}/{self.q} is not in lowest terms")
+    def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:  # bool is no level
+            raise DomainError(f"level must have integer p, q, got {p}/{q}")
+        if p <= 0 or q <= 0:
+            raise DomainError(f"shifted level must be positive, got {p}/{q}")
+        if gcd(p, q) != 1:
+            raise DomainError(f"level {p}/{q} is not in lowest terms")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is not Level:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"Level(p={self.p!r}, q={self.q!r})"
 
     @property
     def t(self) -> Fraction:
@@ -48,7 +59,12 @@ class Level:
 
     @classmethod
     def from_shifted(cls, t) -> "Level":
-        t = Fraction(t)
+        if isinstance(t, float):
+            raise InexactCoordinateError(f"floating point level {t!r} is not allowed")
+        try:
+            t = Fraction(t)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError(f"malformed level {t!r}") from None
         return cls(t.numerator, t.denominator)
 
     def k(self, rs: RootSystem) -> Fraction:
@@ -59,17 +75,35 @@ class Level:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(_Frozen):
     """(t_beta, w): translation part beta (a weight in p times the root
     lattice) and finite part w.  The pair is the canonical form."""
 
-    translation: Weight
-    finite: WeylElement
+    __slots__ = ("translation", "finite")
+
+    def __init__(self, translation: Weight, finite: WeylElement):
+        _set_translation(self, translation)
+        _set_finite(self, finite)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineWeylElement:
+            return NotImplemented
+        return self.translation == other.translation and self.finite == other.finite
+
+    def __hash__(self) -> int:
+        return hash((self.translation, self.finite))
+
+    def __repr__(self) -> str:
+        return (f"AffineWeylElement(translation={self.translation!r}, "
+                f"finite={self.finite!r})")
 
     @property
     def is_identity(self) -> bool:
         return self.finite.is_identity and not any(self.translation)
+
+
+_set_translation = AffineWeylElement.translation.__set__  # past __setattr__
+_set_finite = AffineWeylElement.finite.__set__
 
 
 def _canonical_element(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
@@ -244,8 +278,12 @@ def _dominant_box(rs: RootSystem, height: int):
     height, in lexicographic order."""
     marks = rs.coroot_rows[-1]  # dual marks <omega_i, theta^vee>, all >= 1
     room = height - sum(marks)  # (rho, theta) is the sum of the dual marks
-    ranges = [range(max(room // m, -1) + 1) for m in marks]
-    for coords in itertools.product(*ranges):
+    sizes = [max(room // m, -1) + 1 for m in marks]
+    cells = prod(sizes)
+    if cells > _DOMINANT_BOX_CAP:
+        raise IterationLimitError(f"dominant box of height {height} has {cells} "
+                                  f"cells, above the cap of {_DOMINANT_BOX_CAP}")
+    for coords in itertools.product(*map(range, sizes)):
         if _theta_height(rs, coords) <= room:
             yield coords
 

@@ -9,21 +9,34 @@ filtration check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import affine, translate
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_weight
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen
 
 
-@dataclass(frozen=True)
-class SubmoduleLabels:
+class SubmoduleLabels(_Frozen):
     """Generators of a submodule of the Weyl module over ``base``."""
 
-    base: Weight
-    level: Level
-    generators: frozenset
+    __slots__ = ("base", "level", "generators")
+
+    def __init__(self, base: Weight, level: Level, generators: frozenset):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not SubmoduleLabels:
+            return NotImplemented
+        return (self.base, self.level, self.generators) == (
+            other.base, other.level, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.level, self.generators))
+
+    def __repr__(self) -> str:
+        return (f"SubmoduleLabels(base={self.base!r}, level={self.level!r}, "
+                f"generators={self.generators!r})")
 
 
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:

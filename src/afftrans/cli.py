@@ -17,7 +17,6 @@ Weyl-character read-off; the package imports only the standard library.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -201,7 +200,10 @@ def _fmt_value(v) -> str:
     if isinstance(v, (int, Fraction, Level)):
         return str(v)
     if isinstance(v, str):
-        return json.dumps(v) if (" " in v or not v) else v
+        if " " in v or not v:
+            import json  # only quoted values and json-lines need it
+            return json.dumps(v)
+        return v
     raise TypeError(f"unformattable value {v!r}")
 
 
@@ -218,6 +220,7 @@ def _emit(rows, mode: str) -> int:
         if mode == "records":
             print(" ".join(f"{key}={_fmt_value(value)}" for key, value in row))
         else:
+            import json
             print(json.dumps({key: _json_value(value) for key, value in row}))
     return 0
 
@@ -306,6 +309,7 @@ def _cmd_translate_char(args, rs: RootSystem, level) -> int:
     if args.format == "records":
         print(f"{body} @ base={out.base}")
     else:
+        import json
         print(json.dumps({"char": body, "base": str(out.base)}))
     return 0
 

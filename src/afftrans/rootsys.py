@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -95,23 +94,54 @@ _RANK_RANGE = {
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class _Frozen:
+    """Base of the immutable record classes.  Assignment and deletion raise
+    ``AttributeError``, so constructors store through ``object.__setattr__``
+    or a slot's own ``__set__``.  Copies and pickles rebuild an instance from
+    its slots, which name the constructor's arguments in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class RootSystemSpec(_Frozen):
     """A simple type identifier such as A2 or E8; validated at construction."""
 
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
-        lo_hi = _RANK_RANGE.get(self.series)
-        if lo_hi is None or not isinstance(self.rank, int):
-            raise InvalidRootSystemError(f"invalid root system type {self.series}{self.rank}")
+    def __init__(self, series: str, rank: int):
+        lo_hi = _RANK_RANGE.get(series)
+        if lo_hi is None or type(rank) is not int:  # bool is no rank
+            raise InvalidRootSystemError(f"invalid root system type {series}{rank}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRootSystemError(f"invalid root system type {self.series}{self.rank}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidRootSystemError(f"invalid root system type {series}{rank}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not RootSystemSpec:
+            return NotImplemented
+        return self.series == other.series and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.series, self.rank))
+
+    def __repr__(self) -> str:
+        return f"RootSystemSpec(series={self.series!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemSpec":
+        if not isinstance(text, str):
+            raise InvalidRootSystemError(f"unknown type {text!r}")
         m = _TYPE_RE.match(text.strip())
         if m is None:
             raise InvalidRootSystemError(f"unknown type {text}")
@@ -191,35 +221,67 @@ def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Frozen):
     """Immutable root-system data; build with :func:`build_root_system`.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot, so the columns of ``cartan`` are the simple roots in
     fundamental-weight coordinates.  ``form`` is the matrix of the invariant
     bilinear form on those coordinates, normalised so ``(theta, theta) = 2``.
+
+    The fields from ``inv_cartan`` on are derived lookup tables (the same
+    data in other shapes, kept for speed) and are left out of the repr;
+    ``inv_cartan_int`` and ``form_int`` are ``inv_cartan`` and ``form``
+    scaled to integers (entry = int_entry / den).  Equality ignores
+    ``root_index`` and ``negative_root_set``.
     """
 
-    spec: RootSystemSpec
-    cartan: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Weight, ...]
-    fundamental_weights: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    rho: Weight
-    theta: Weight
-    dual_coxeter: int
-    form: tuple[tuple[Fraction, ...], ...]
-    # Derived lookup tables (same data, different shapes), kept for speed.
-    inv_cartan: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    # inv_cartan and form scaled to integers: entry = int_entry / den.
-    inv_cartan_int: tuple[tuple[int, ...], ...] = field(repr=False)
-    inv_cartan_den: int = field(repr=False)
-    form_int: tuple[tuple[int, ...], ...] = field(repr=False)
-    form_den: int = field(repr=False)
-    coroot_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    root_index: dict = field(repr=False, hash=False, compare=False)
-    negative_root_set: frozenset = field(repr=False, hash=False, compare=False)
+    __slots__ = ("spec", "cartan", "simple_roots", "fundamental_weights",
+                 "positive_roots", "rho", "theta", "dual_coxeter", "form",
+                 "inv_cartan", "inv_cartan_int", "inv_cartan_den", "form_int",
+                 "form_den", "coroot_rows", "root_index", "negative_root_set",
+                 "_hash")
+
+    def __init__(self, spec: RootSystemSpec, cartan: tuple, simple_roots: tuple,
+                 fundamental_weights: tuple, positive_roots: tuple, rho: Weight,
+                 theta: Weight, dual_coxeter: int, form: tuple, inv_cartan: tuple,
+                 inv_cartan_int: tuple, inv_cartan_den: int, form_int: tuple,
+                 form_den: int, coroot_rows: tuple, root_index: dict,
+                 negative_root_set: frozenset):
+        values = (spec, cartan, simple_roots, fundamental_weights, positive_roots,
+                  rho, theta, dual_coxeter, form, inv_cartan, inv_cartan_int,
+                  inv_cartan_den, form_int, form_den, coroot_rows, root_index,
+                  negative_root_set)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        # The spec determines every other field, and instances are cached
+        # singletons; every lru_cache lookup hashes them, so hash once.
+        object.__setattr__(self, "_hash", hash(spec))
+
+    def _compared(self) -> tuple:
+        return (self.spec, self.cartan, self.simple_roots, self.fundamental_weights,
+                self.positive_roots, self.rho, self.theta, self.dual_coxeter,
+                self.form, self.inv_cartan, self.inv_cartan_int,
+                self.inv_cartan_den, self.form_int, self.form_den, self.coroot_rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return build_root_system, (self.spec,)
+
+    def __repr__(self) -> str:
+        return (f"RootSystem(spec={self.spec!r}, cartan={self.cartan!r}, "
+                f"simple_roots={self.simple_roots!r}, "
+                f"fundamental_weights={self.fundamental_weights!r}, "
+                f"positive_roots={self.positive_roots!r}, rho={self.rho!r}, "
+                f"theta={self.theta!r}, dual_coxeter={self.dual_coxeter!r}, "
+                f"form={self.form!r})")
 
     @property
     def rank(self) -> int:
@@ -231,11 +293,6 @@ class RootSystem:
 
     def __str__(self) -> str:
         return str(self.spec)
-
-    def __hash__(self) -> int:
-        # The spec determines every derived field, and instances are cached
-        # singletons; hashing the spec keeps lru_cache lookups cheap.
-        return hash(self.spec)
 
 
 def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple[Weight, tuple[int, ...]]]:

@@ -13,22 +13,36 @@ canonical affine Weyl group elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_weight, root_coords
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen, root_coords
 
 
-@dataclass(frozen=True)
-class TranslationDatum:
+class TranslationDatum(_Frozen):
     """A validated translation triple at a fixed level."""
 
-    lam_left: Weight
-    lam_right: Weight
-    lam: Weight
-    level: Level
+    __slots__ = ("lam_left", "lam_right", "lam", "level")
+
+    def __init__(self, lam_left: Weight, lam_right: Weight, lam: Weight, level: Level):
+        object.__setattr__(self, "lam_left", lam_left)
+        object.__setattr__(self, "lam_right", lam_right)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "level", level)
+
+    def __eq__(self, other):
+        if other.__class__ is not TranslationDatum:
+            return NotImplemented
+        return (self.lam_left, self.lam_right, self.lam, self.level) == (
+            other.lam_left, other.lam_right, other.lam, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.lam_left, self.lam_right, self.lam, self.level))
+
+    def __repr__(self) -> str:
+        return (f"TranslationDatum(lam_left={self.lam_left!r}, "
+                f"lam_right={self.lam_right!r}, lam={self.lam!r}, "
+                f"level={self.level!r})")
 
 
 def check_datum(rs: RootSystem, lam_left, lam_right, lam,
@@ -120,6 +134,8 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     affine Weyl group and ``nu`` a weight of the translation module: since
     ``w1 = (t_beta, w)`` forces ``beta = (g . mu + nu) - w . lam``, checking
     every finite ``w`` against the translation lattice covers all of them.
+    The Weyl group is walked once, as the orbit of ``lam + rho``, and is
+    refused beyond ``10**6`` elements like :func:`weyl.enumerate_elements`.
     Returns True iff every solution has ``w1 = g`` and ``nu`` in the plain
     orbit of the translation weight.
     """
@@ -134,34 +150,57 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     tau = translation_weight(rs, lam, mu)
     support = finchar.weight_multiplicities(rs, tau)
     p = level.p
+
+    def residue(wt):
+        return tuple(c % p for c in root_coords(rs, wt))
+
+    # beta = (start + nu) - w . lam is in pQ iff both terms have the same
+    # root coordinates mod p.  With y = w(lam + rho), w . lam = y - rho, so
+    # bucket every nu by the residue of start + rho + nu and look y up.
+    shifted_start = start + rs.rho
+    buckets: dict[tuple, list[Weight]] = {}
+    for nu in support:
+        buckets.setdefault(residue(shifted_start + nu), []).append(nu)
     found = False
     ok = True
-    for w in weyl.enumerate_elements(rs):
-        w_lam = weyl.apply(rs, w, lam, shifted=True)
-        for nu in support:
-            beta = start + nu - w_lam
-            if any(c % p for c in root_coords(rs, beta)):
-                continue  # not a p-scaled root-lattice translation
-            w1 = AffineWeylElement(beta, w)
+    # lam + rho is regular dominant: its orbit meets every w once, and the
+    # dominant walk of w(lam + rho) spells w as that of w(rho) does.
+    for y in weyl._orbit_points(rs, lam + rs.rho, 10 ** 6):
+        for nu in buckets.get(residue(y), ()):
             found = True
+            w1 = AffineWeylElement(shifted_start + nu - y, weyl._word_of(rs, list(y)))
             if w1 != g or tuple(weyl._dominant_walk(rs, list(nu))) != tau:
                 ok = False
     return found and ok
 
 
-@dataclass
 class LinkageCharacter:
-    """Integer Weyl-basis character over one linkage class.
+    """Integer Weyl-basis character over one linkage class; mutable and
+    unhashable.
 
     ``coeffs`` maps canonical affine Weyl group elements g (as produced by
     the alcove walk) to integers; a key g stands for the Weyl module with
     highest weight ``g . base``.  Keys whose image leaves the dominant cone
-    are never stored.
+    are never stored.  It defaults to a fresh empty dict.
     """
 
-    level: Level
-    base: Weight
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("level", "base", "coeffs")
+    __hash__ = None
+
+    def __init__(self, level: Level, base: Weight, coeffs: dict | None = None):
+        self.level = level
+        self.base = base
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not LinkageCharacter:
+            return NotImplemented
+        return (self.level, self.base, self.coeffs) == (
+            other.level, other.base, other.coeffs)
+
+    def __repr__(self) -> str:
+        return (f"LinkageCharacter(level={self.level!r}, base={self.base!r}, "
+                f"coeffs={self.coeffs!r})")
 
 
 def _element_sort_key(rs: RootSystem, g: AffineWeylElement):
@@ -171,6 +210,9 @@ def _element_sort_key(rs: RootSystem, g: AffineWeylElement):
 def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
     """Validated, canonically ordered character over the class of ``base``."""
     base = _as_alcove_weight(rs, base, level, "base")
+    if not hasattr(coeffs, "items"):
+        raise DomainError(f"coefficients must map group elements to integers, "
+                          f"got a {type(coeffs).__name__}")
     cleaned = {}
     for g, c in coeffs.items():
         if c == 0:

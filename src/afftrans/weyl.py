@@ -15,14 +15,12 @@ strips exactly those letters, so its letters are the canonical word.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_weight, pairing
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen, pairing
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(_Frozen):
     """A Weyl group element as its canonical (lex-least) reduced word: the
     letters of the dominant walk of ``w(rho)``.
 
@@ -30,7 +28,21 @@ class WeylElement:
     directly, so that the word really is canonical.
     """
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        _set_word(self, word)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
+
+    def __repr__(self) -> str:
+        return f"WeylElement(word={self.word!r})"
 
     @property
     def length(self) -> int:
@@ -44,6 +56,7 @@ class WeylElement:
         return "e" if not self.word else "".join(f"s{i + 1}" for i in self.word)
 
 
+_set_word = WeylElement.word.__set__  # the slot's setter, past __setattr__
 IDENTITY = WeylElement(())
 
 

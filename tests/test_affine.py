@@ -18,7 +18,7 @@ from afftrans.affine import (
     inverse_affine,
     translation_element,
 )
-from afftrans.errors import DomainError, InexactCoordinateError
+from afftrans.errors import DomainError, InexactCoordinateError, IterationLimitError
 from afftrans.rootsys import Weight, coroot_pairings, root_system
 from afftrans.weyl import IDENTITY, WeylElement
 
@@ -55,6 +55,24 @@ def test_level_from_shifted_and_k():
     assert lvl.k(A1) == Fraction(3, 2)  # 7/2 - 2
     assert Level.from_shifted(5).k(A2) == 2  # 5 - 3
     assert str(Level(5, 1)) == "5/1"
+
+
+def test_level_refuses_bool_parts():
+    with pytest.raises(DomainError, match="integer p, q"):
+        Level(5, True)
+    with pytest.raises(DomainError, match="integer p, q"):
+        Level(True, 1)
+
+
+def test_level_from_shifted_refuses_float():
+    with pytest.raises(InexactCoordinateError, match="2.5"):
+        Level.from_shifted(2.5)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", None])
+def test_level_from_shifted_refuses_malformed(bad):
+    with pytest.raises(DomainError, match="malformed level"):
+        Level.from_shifted(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +328,24 @@ def test_enumerate_dominant_counts_a1():
     for p in range(1, 51):
         level = Level(p, 1)
         assert len(affine.enumerate_dominant(A1, level)) == p - 1
+
+
+HUGE = 99999999999999999999
+
+
+def test_huge_box_is_refused_with_its_cell_count():
+    # the box is counted before it is walked, so no range overflows
+    with pytest.raises(IterationLimitError, match=f"has {HUGE} cells"):
+        affine.dominant_orbit(A1, [0], P5, HUGE)
+    with pytest.raises(IterationLimitError, match="above the cap of 10000000"):
+        affine.enumerate_dominant(A2, Level(HUGE, 1))
+    with pytest.raises(IterationLimitError, match="cells"):
+        annihilator.admissible_list(A2, Level(HUGE, 1))
+    # a box of exactly the cap is still walked (lazily: take the first weight)
+    cap = affine._DOMINANT_BOX_CAP
+    assert next(affine._dominant_box(A1, cap)) == (0,)
+    with pytest.raises(IterationLimitError, match=f"has {cap + 1} cells"):
+        next(affine._dominant_box(A1, cap + 1))
 
 
 def test_enumerate_dominant_is_sorted_and_in_alcove():

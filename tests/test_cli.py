@@ -114,6 +114,18 @@ def test_domain_error_is_exit_one(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "A2", "--level", "99999999999999999999/1"),
+    ("dominant", "A2", "--level", "99999999999999999999/1"),
+    ("admissible", "A2", "--level", "99999999999999999999/1"),
+    ("orbit", "A1", "[0]", "--level", "5/1", "--bound", "99999999999999999999"),
+], ids=["info", "dominant", "admissible", "orbit"])
+def test_huge_level_or_bound_is_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: dominant box of height ") and err.count("\n") == 1
+
+
 def test_missing_level_is_usage_error(capsys):
     code, _, err = run(capsys, "alcove", "A1", "[3]")
     assert code == 2
@@ -319,10 +331,14 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_import_needs_no_numpy():
-    # the library and its CLI run on the standard library alone
+    # the library and its CLI run on the standard library alone, and a cold
+    # start loads none of these: numpy is no dependency, dataclasses pulls
+    # in inspect, and json is loaded only where output needs it
     src = str(Path(cli.__file__).resolve().parents[1])
+    unwanted = ("numpy", "dataclasses", "inspect", "json")
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "import afftrans, afftrans.cli; print('numpy' in sys.modules)")
+            "import afftrans, afftrans.cli; "
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

@@ -54,6 +54,17 @@ def test_invalid_types_rejected(bad):
         root_system(bad)
 
 
+@pytest.mark.parametrize("bad", [3, None, ("A", 2)])
+def test_non_string_type_is_invalid(bad):
+    with pytest.raises(InvalidRootSystemError, match="unknown type"):
+        root_system(bad)
+
+
+def test_bool_rank_is_invalid():
+    with pytest.raises(InvalidRootSystemError, match="ATrue"):
+        RootSystemSpec("A", True)
+
+
 def test_invalid_type_message_names_token():
     with pytest.raises(InvalidRootSystemError, match="Z9"):
         root_system("Z9")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from afftrans import affine, finchar, translate, weyl
+from afftrans import affine, finchar, rootsys, translate, weyl
 from afftrans.affine import AffineWeylElement, Level
 from afftrans.errors import DatumInvalidError, DomainError, InternalInconsistencyError
 from afftrans.rootsys import Weight, root_system
@@ -143,6 +143,57 @@ def test_verify_weight_geometry_bound_guard():
         translate.verify_weight_geometry(A1, Weight([2]), Weight([0]), SAFF, P5, 3)
 
 
+def _verify_by_pairs(rs, lam, mu, g, level, bound):
+    """Reference: every (w, nu) pair tested against pQ directly."""
+    lam, mu = Weight(lam), Weight(mu)
+    g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+    start = affine.affine_apply(rs, g, mu, level)
+    tau = translate.translation_weight(rs, lam, mu)
+    solutions = []
+    for w in weyl.enumerate_elements(rs):
+        w_lam = weyl.apply(rs, w, lam, shifted=True)
+        for nu in finchar.weight_multiplicities(rs, tau):
+            beta = start + nu - w_lam
+            if all(c % level.p == 0 for c in rootsys.root_coords(rs, beta)):
+                solutions.append((AffineWeylElement(beta, w), nu))
+    return bool(solutions) and all(
+        w1 == g and translate.translation_weight(rs, nu, Weight.zero(rs.rank)) == tau
+        for w1, nu in solutions)
+
+
+@pytest.mark.parametrize("name,p", [("A2", 5), ("B2", 7), ("G2", 8)])
+def test_verify_weight_geometry_matches_the_pairwise_sweep(name, p):
+    rs, level = root_system(name), Level(p, 1)
+    alcove = [w for w in affine.enumerate_dominant(rs, level)
+              if affine.is_regular(rs, w, level)]
+    verdicts = set()
+    for mu in alcove[:3]:
+        gs = [g for g, _ in affine.dominant_orbit(rs, mu, level)[:3]]
+        for lam in alcove:
+            for g in gs:
+                got = translate.verify_weight_geometry(rs, lam, mu, g, level, 4 * p)
+                assert got == _verify_by_pairs(rs, lam, mu, g, level, 4 * p)
+                verdicts.add(got)
+    # False verdicts on B2 and G2 are the known non-simply-laced lattice defect
+    assert verdicts == ({True} if rs.is_simply_laced else {True, False})
+
+
+def test_verify_weight_geometry_walks_the_group_once(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group is enumerated per call")
+
+    calls = []
+    counted = translate.root_coords
+    monkeypatch.setattr(weyl, "enumerate_elements", refuse)
+    monkeypatch.setattr(translate, "root_coords",
+                        lambda rs, wt: calls.append(wt) or counted(rs, wt))
+    lam, mu = Weight([1, 0]), Weight([0, 1])
+    assert translate.verify_weight_geometry(
+        A2, lam, mu, affine.identity_element(2), P4, 16)
+    support = finchar.weight_multiplicities(A2, translate.translation_weight(A2, lam, mu))
+    assert len(calls) == 6 + len(support)  # one residue per group element and weight
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -178,6 +229,11 @@ def test_make_character_orders_and_validates():
     assert list(chi.coeffs) == [E1, SAFF]  # identity sorts first
     assert chi.base == Weight([0])
     assert chi.level == P5
+
+
+def test_make_character_refuses_a_non_mapping():
+    with pytest.raises(DomainError, match="got a list"):
+        translate.make_character(A1, Weight([0]), [SAFF], P5)
 
 
 def test_make_character_drops_zeros():
