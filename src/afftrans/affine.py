@@ -39,19 +39,7 @@ class Level(_Frozen):
             raise DomainError(f"shifted level must be positive, got {p}/{q}")
         if gcd(p, q) != 1:
             raise DomainError(f"level {p}/{q} is not in lowest terms")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __eq__(self, other):
-        if other.__class__ is not Level:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"Level(p={self.p!r}, q={self.q!r})"
+        self._store(p, q)
 
     @property
     def t(self) -> Fraction:
@@ -85,18 +73,6 @@ class AffineWeylElement(_Frozen):
         _set_translation(self, translation)
         _set_finite(self, finite)
 
-    def __eq__(self, other):
-        if other.__class__ is not AffineWeylElement:
-            return NotImplemented
-        return self.translation == other.translation and self.finite == other.finite
-
-    def __hash__(self) -> int:
-        return hash((self.translation, self.finite))
-
-    def __repr__(self) -> str:
-        return (f"AffineWeylElement(translation={self.translation!r}, "
-                f"finite={self.finite!r})")
-
     @property
     def is_identity(self) -> bool:
         return self.finite.is_identity and not any(self.translation)
@@ -106,9 +82,21 @@ _set_translation = AffineWeylElement.translation.__set__  # past __setattr__
 _set_finite = AffineWeylElement.finite.__set__
 
 
-def _canonical_element(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
+def _as_affine_element(g, what: str = "g") -> AffineWeylElement:
+    """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite
+    part: the one affine group-element check of the public API."""
+    if not isinstance(g, AffineWeylElement):
+        raise DomainError(f"{what} is a {type(g).__name__}, not an AffineWeylElement")
+    if not isinstance(g.finite, WeylElement):
+        raise DomainError(f"finite part of {what} is a {type(g.finite).__name__}, "
+                          "not a WeylElement")
+    return g
+
+
+def _canonical_element(rs: RootSystem, g, what: str = "g") -> AffineWeylElement:
     """``g`` with its finite part respelled by the canonical word, so that two
     spellings of one element compare and hash equal."""
+    g = _as_affine_element(g, what)
     return AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
 
 
@@ -117,7 +105,7 @@ def identity_element(rank: int) -> AffineWeylElement:
 
 
 def finite_element(rs: RootSystem, w: WeylElement) -> AffineWeylElement:
-    return AffineWeylElement(Weight.zero(rs.rank), w)
+    return AffineWeylElement(Weight.zero(rs.rank), weyl._as_element(w))
 
 
 def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
@@ -126,19 +114,20 @@ def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
 
 def compose_affine(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
     """(t_beta, w)(t_gamma, v) = (t_{beta + w(gamma)}, w v)."""
+    g, h = _as_affine_element(g), _as_affine_element(h, "h")
     beta = _as_weight(rs, g.translation, "translation")
     moved = weyl.apply(rs, g.finite, h.translation)
     return AffineWeylElement(beta + moved, weyl.compose(rs, g.finite, h.finite))
 
 
 def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
-    winv = weyl.inverse(rs, g.finite)
+    winv = weyl.inverse(rs, _as_affine_element(g).finite)
     return AffineWeylElement(-weyl.apply(rs, winv, g.translation), winv)
 
 
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
     """Root-basis coordinates of the translation part; must lie in p Q."""
-    rc = root_coords(rs, g.translation)
+    rc = root_coords(rs, _as_affine_element(g).translation)
     p = level.p
     out = []
     for c in rc:
@@ -281,8 +270,8 @@ def _dominant_box(rs: RootSystem, height: int):
     sizes = [max(room // m, -1) + 1 for m in marks]
     cells = prod(sizes)
     if cells > _DOMINANT_BOX_CAP:
-        raise IterationLimitError(f"dominant box of height {height} has {cells} "
-                                  f"cells, above the cap of {_DOMINANT_BOX_CAP}")
+        raise DomainError(f"dominant box of height {height} has {cells} "
+                          f"cells, above the cap of {_DOMINANT_BOX_CAP}")
     for coords in itertools.product(*map(range, sizes)):
         if _theta_height(rs, coords) <= room:
             yield coords

@@ -21,29 +21,18 @@ class SubmoduleLabels(_Frozen):
     __slots__ = ("base", "level", "generators")
 
     def __init__(self, base: Weight, level: Level, generators: frozenset):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "generators", generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not SubmoduleLabels:
-            return NotImplemented
-        return (self.base, self.level, self.generators) == (
-            other.base, other.level, other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.level, self.generators))
-
-    def __repr__(self) -> str:
-        return (f"SubmoduleLabels(base={self.base!r}, level={self.level!r}, "
-                f"generators={self.generators!r})")
+        self._store(base, level, generators)
 
 
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:
     """Validated label set: non-identity generators with dominant images."""
     base = _as_alcove_weight(rs, base, level, "base")
-    gens = frozenset(generators)
-    respelled = frozenset(affine._canonical_element(rs, g) for g in gens)
+    try:
+        gens = frozenset(generators)
+    except TypeError:
+        raise DomainError(f"generators must be a collection of group elements, "
+                          f"got a {type(generators).__name__}") from None
+    respelled = frozenset(affine._canonical_element(rs, g, "generator") for g in gens)
     if respelled != gens:  # else keep the caller's set: transport follows its order
         gens = respelled
     for g in gens:

@@ -208,11 +208,7 @@ def _fmt_value(v) -> str:
 
 
 def _json_value(v):
-    if isinstance(v, bool) or isinstance(v, int):
-        return v
-    if isinstance(v, (Weight, Fraction, Level)):
-        return str(v)
-    return v
+    return str(v) if isinstance(v, (Weight, Fraction, Level)) else v
 
 
 def _emit(rows, mode: str) -> int:
@@ -272,10 +268,8 @@ def _cmd_tensor(args, rs: RootSystem, level) -> int:
 
 def _cmd_filtration(args, rs: RootSystem, level) -> int:
     cap = _resolve_cap(args)
-    if args.verma:
-        parts = translate.verma_filtration(rs, args.lam, args.mu, cap=cap)
-    else:
-        parts = translate.kl_weyl_filtration(rs, args.lam, args.mu, cap=cap)
+    op = translate.verma_filtration if args.verma else translate.kl_weyl_filtration
+    parts = op(rs, args.lam, args.mu, cap=cap)
     rows = [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
     return _emit(rows, args.format)
 
@@ -301,11 +295,8 @@ def _cmd_translate_char(args, rs: RootSystem, level) -> int:
     chi = translate.make_character(rs, args.src, coeffs, level)
     out = translate.translate_character(rs, chi, args.dst)
     saff = affine.theta_wall_reflection(rs, level)
-    terms = []
-    for g, c in out.coeffs.items():
-        name = "saff" if (not g.is_identity and g == saff) else _element_text(rs, g)
-        terms.append(f"{name}:{c}")
-    body = ",".join(terms)
+    body = ",".join(f"{'saff' if g == saff else _element_text(rs, g)}:{c}"
+                    for g, c in out.coeffs.items())
     if args.format == "records":
         print(f"{body} @ base={out.base}")
     else:
@@ -338,12 +329,8 @@ def _cmd_transport(args, rs: RootSystem, level) -> int:
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
     moved = annihilator.transport(rs, labels, args.to)
-    rows = []
-    ordered = sorted(moved.generators,
-                     key=lambda g: translate._element_sort_key(rs, g))
-    for g in ordered:
-        image = affine.affine_apply(rs, g, args.to, level)
-        rows.append([("g", _element_text(rs, g)), ("image", image)])
+    rows = [[("g", _element_text(rs, g)), ("image", affine.affine_apply(rs, g, args.to, level))]
+            for g in translate._in_order(rs, moved.generators)]
     return _emit(rows, args.format)
 
 

@@ -13,6 +13,7 @@ import functools
 import re
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .errors import DomainError, InexactCoordinateError, InvalidRootSystemError
 
@@ -94,22 +95,72 @@ _RANK_RANGE = {
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
-class _Frozen:
-    """Base of the immutable record classes.  Assignment and deletion raise
-    ``AttributeError``, so constructors store through ``object.__setattr__``
-    or a slot's own ``__set__``.  Copies and pickles rebuild an instance from
-    its slots, which name the constructor's arguments in order."""
+class _Record:
+    """Base of the record classes.  Each subclass derives its equality, hash,
+    repr and pickling once, when the class is created, from its
+    ``__slots__``, which name the constructor's arguments in order:
+
+    - ``==`` compares the slot values, only between instances of the same
+      class (``NotImplemented`` for any other);
+    - the hash is ``hash((slot, ...))``;
+    - the repr is ``Name(slot=value, ...)``;
+    - copies and pickles call the class with the slot values.
+
+    A method the subclass defines itself is kept.  The class keywords
+    ``compared=n`` and ``shown=n`` restrict equality and the hash, and the
+    repr, to the first ``n`` slots.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, compared=None, shown=None):
+        super().__init_subclass__()
+        slots = cls.__slots__
+        if not slots:  # a layer of the base, such as _Frozen
+            return
+        fields, shown = slots[:compared], slots[:shown]
+        get = attrgetter(*fields)
+
+        def __eq__(self, other):
+            if other.__class__ is not cls:
+                return NotImplemented
+            return get(self) == get(other)
+
+        if len(fields) == 1:  # attrgetter of one name returns no tuple
+            def __hash__(self):
+                return hash((get(self),))
+        else:
+            def __hash__(self):
+                return hash(get(self))
+
+        def __repr__(self):
+            return f"{cls.__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
+
+        def __reduce__(self):
+            return cls, tuple(getattr(self, field) for field in slots)
+
+        for method in (__eq__, __hash__, __repr__, __reduce__):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
+
+
+class _Frozen(_Record):
+    """The immutable records.  Assignment and deletion raise
+    ``AttributeError``, so constructors store through :meth:`_store` or a
+    slot's own ``__set__``."""
+
+    __slots__ = ()
+
+    def _store(self, *values):
+        """Set the slots, in order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class RootSystemSpec(_Frozen):
@@ -124,19 +175,7 @@ class RootSystemSpec(_Frozen):
         lo, hi = lo_hi
         if rank < lo or (hi is not None and rank > hi):
             raise InvalidRootSystemError(f"invalid root system type {series}{rank}")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not RootSystemSpec:
-            return NotImplemented
-        return self.series == other.series and self.rank == other.rank
-
-    def __hash__(self) -> int:
-        return hash((self.series, self.rank))
-
-    def __repr__(self) -> str:
-        return f"RootSystemSpec(series={self.series!r}, rank={self.rank!r})"
+        self._store(series, rank)
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemSpec":
@@ -221,7 +260,7 @@ def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-class RootSystem(_Frozen):
+class RootSystem(_Frozen, compared=15, shown=9):
     """Immutable root-system data; build with :func:`build_root_system`.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
@@ -248,40 +287,18 @@ class RootSystem(_Frozen):
                  inv_cartan_int: tuple, inv_cartan_den: int, form_int: tuple,
                  form_den: int, coroot_rows: tuple, root_index: dict,
                  negative_root_set: frozenset):
-        values = (spec, cartan, simple_roots, fundamental_weights, positive_roots,
-                  rho, theta, dual_coxeter, form, inv_cartan, inv_cartan_int,
-                  inv_cartan_den, form_int, form_den, coroot_rows, root_index,
-                  negative_root_set)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
         # The spec determines every other field, and instances are cached
         # singletons; every lru_cache lookup hashes them, so hash once.
-        object.__setattr__(self, "_hash", hash(spec))
-
-    def _compared(self) -> tuple:
-        return (self.spec, self.cartan, self.simple_roots, self.fundamental_weights,
-                self.positive_roots, self.rho, self.theta, self.dual_coxeter,
-                self.form, self.inv_cartan, self.inv_cartan_int,
-                self.inv_cartan_den, self.form_int, self.form_den, self.coroot_rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not RootSystem:
-            return NotImplemented
-        return self._compared() == other._compared()
+        self._store(spec, cartan, simple_roots, fundamental_weights, positive_roots,
+                    rho, theta, dual_coxeter, form, inv_cartan, inv_cartan_int,
+                    inv_cartan_den, form_int, form_den, coroot_rows, root_index,
+                    negative_root_set, hash(spec))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return build_root_system, (self.spec,)
-
-    def __repr__(self) -> str:
-        return (f"RootSystem(spec={self.spec!r}, cartan={self.cartan!r}, "
-                f"simple_roots={self.simple_roots!r}, "
-                f"fundamental_weights={self.fundamental_weights!r}, "
-                f"positive_roots={self.positive_roots!r}, rho={self.rho!r}, "
-                f"theta={self.theta!r}, dual_coxeter={self.dual_coxeter!r}, "
-                f"form={self.form!r})")
 
     @property
     def rank(self) -> int:

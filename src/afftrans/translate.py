@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen, root_coords
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen, _Record, root_coords
 
 
 class TranslationDatum(_Frozen):
@@ -25,24 +25,7 @@ class TranslationDatum(_Frozen):
     __slots__ = ("lam_left", "lam_right", "lam", "level")
 
     def __init__(self, lam_left: Weight, lam_right: Weight, lam: Weight, level: Level):
-        object.__setattr__(self, "lam_left", lam_left)
-        object.__setattr__(self, "lam_right", lam_right)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "level", level)
-
-    def __eq__(self, other):
-        if other.__class__ is not TranslationDatum:
-            return NotImplemented
-        return (self.lam_left, self.lam_right, self.lam, self.level) == (
-            other.lam_left, other.lam_right, other.lam, other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.lam_left, self.lam_right, self.lam, self.level))
-
-    def __repr__(self) -> str:
-        return (f"TranslationDatum(lam_left={self.lam_left!r}, "
-                f"lam_right={self.lam_right!r}, lam={self.lam!r}, "
-                f"level={self.level!r})")
+        self._store(lam_left, lam_right, lam, level)
 
 
 def check_datum(rs: RootSystem, lam_left, lam_right, lam,
@@ -134,13 +117,15 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     affine Weyl group and ``nu`` a weight of the translation module: since
     ``w1 = (t_beta, w)`` forces ``beta = (g . mu + nu) - w . lam``, checking
     every finite ``w`` against the translation lattice covers all of them.
-    The Weyl group is walked once, as the orbit of ``lam + rho``, and is
-    refused beyond ``10**6`` elements like :func:`weyl.enumerate_elements`.
+    The Weyl group is walked once, as the orbit of ``lam + rho``; like
+    :func:`weyl.enumerate_elements`, a group of more than ``10**6`` elements
+    is refused before any walk.
     Returns True iff every solution has ``w1 = g`` and ``nu`` in the plain
     orbit of the translation weight.
     """
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
+    weyl._check_order(rs, 10 ** 6)
     g = affine._canonical_element(rs, g)  # compared with canonical elements below
     start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
@@ -165,7 +150,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     ok = True
     # lam + rho is regular dominant: its orbit meets every w once, and the
     # dominant walk of w(lam + rho) spells w as that of w(rho) does.
-    for y in weyl._orbit_points(rs, lam + rs.rho, 10 ** 6):
+    for y in weyl._orbit_points(rs, lam + rs.rho):
         for nu in buckets.get(residue(y), ()):
             found = True
             w1 = AffineWeylElement(shifted_start + nu - y, weyl._word_of(rs, list(y)))
@@ -174,7 +159,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     return found and ok
 
 
-class LinkageCharacter:
+class LinkageCharacter(_Record):
     """Integer Weyl-basis character over one linkage class; mutable and
     unhashable.
 
@@ -192,19 +177,10 @@ class LinkageCharacter:
         self.base = base
         self.coeffs = {} if coeffs is None else coeffs
 
-    def __eq__(self, other):
-        if other.__class__ is not LinkageCharacter:
-            return NotImplemented
-        return (self.level, self.base, self.coeffs) == (
-            other.level, other.base, other.coeffs)
 
-    def __repr__(self) -> str:
-        return (f"LinkageCharacter(level={self.level!r}, base={self.base!r}, "
-                f"coeffs={self.coeffs!r})")
-
-
-def _element_sort_key(rs: RootSystem, g: AffineWeylElement):
-    return (root_coords(rs, g.translation), g.finite.word)
+def _in_order(rs: RootSystem, elements) -> list:
+    """Group elements by the root coordinates of the translation, then word."""
+    return sorted(elements, key=lambda g: (root_coords(rs, g.translation), g.finite.word))
 
 
 def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
@@ -215,9 +191,11 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
                           f"got a {type(coeffs).__name__}")
     cleaned = {}
     for g, c in coeffs.items():
+        if type(c) is not int:  # bool is no coefficient
+            raise DomainError(f"coefficient {c!r} is not an int")
         if c == 0:
             continue
-        g = affine._canonical_element(rs, g)
+        g = affine._canonical_element(rs, g, "key")
         if g in cleaned:
             raise DomainError(f"two keys spell the element {g}")
         image = affine.affine_apply(rs, g, base, level)
@@ -229,9 +207,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
             raise DomainError(f"key {g} is not the canonical element "
                               f"for its image {image}")
         cleaned[g] = c
-    ordered = dict(sorted(cleaned.items(),
-                          key=lambda item: _element_sort_key(rs, item[0])))
-    return LinkageCharacter(level=level, base=base, coeffs=ordered)
+    return LinkageCharacter(level, base, {g: cleaned[g] for g in _in_order(rs, cleaned)})
 
 
 def translate_character(rs: RootSystem, chi: LinkageCharacter,
@@ -243,13 +219,8 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
     """
     _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
     lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
-    kept = {}
-    for g, c in chi.coeffs.items():
-        if affine.affine_apply(rs, g, lam, chi.level).is_dominant:
-            kept[g] = c
-    ordered = dict(sorted(kept.items(),
-                          key=lambda item: _element_sort_key(rs, item[0])))
-    return LinkageCharacter(level=chi.level, base=lam, coeffs=ordered)
+    kept = [g for g in chi.coeffs if affine.affine_apply(rs, g, lam, chi.level).is_dominant]
+    return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, kept)})
 
 
 def round_trip_check(rs: RootSystem, chi: LinkageCharacter, lam) -> bool:

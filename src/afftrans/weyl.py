@@ -15,9 +15,10 @@ strips exactly those letters, so its letters are the canonical word.
 from __future__ import annotations
 
 import functools
+from math import prod
 
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen, pairing
+from .rootsys import RootSystem, Weight, _as_weight, _Frozen, pairing, root_coords
 
 
 class WeylElement(_Frozen):
@@ -33,17 +34,6 @@ class WeylElement(_Frozen):
     def __init__(self, word: tuple[int, ...]):
         _set_word(self, word)
 
-    def __eq__(self, other):
-        if other.__class__ is not WeylElement:
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
-    def __repr__(self) -> str:
-        return f"WeylElement(word={self.word!r})"
-
     @property
     def length(self) -> int:
         return len(self.word)
@@ -58,6 +48,14 @@ class WeylElement(_Frozen):
 
 _set_word = WeylElement.word.__set__  # the slot's setter, past __setattr__
 IDENTITY = WeylElement(())
+
+
+def _as_element(w, what: str = "w") -> WeylElement:
+    """``w`` once it is a ``WeylElement``: the one finite group-element check
+    of the public API (its letters are checked where the word acts)."""
+    if not isinstance(w, WeylElement):
+        raise DomainError(f"{what} is a {type(w).__name__}, not a WeylElement")
+    return w
 
 
 def _reflect_in_place(rs: RootSystem, coords: list, i: int) -> None:
@@ -109,11 +107,12 @@ def _word_of(rs: RootSystem, x: list) -> WeylElement:
 
 def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weight:
     """w(lam) for the plain action, or w.lam = w(lam+rho)-rho when shifted."""
+    word = _as_element(w).word
     lam = _as_weight(rs, lam)
     if shifted:
-        out = _apply_word(rs, w.word, [c + 1 for c in lam])
+        out = _apply_word(rs, word, [c + 1 for c in lam])
         return Weight(c - 1 for c in out)
-    return Weight(_apply_word(rs, w.word, lam))
+    return Weight(_apply_word(rs, word, lam))
 
 
 def canonical_from_word(rs: RootSystem, word) -> WeylElement:
@@ -124,11 +123,11 @@ def canonical_from_word(rs: RootSystem, word) -> WeylElement:
 
 def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
     """The product w v (w applied after v)."""
-    return canonical_from_word(rs, w.word + v.word)
+    return canonical_from_word(rs, _as_element(w).word + _as_element(v, "v").word)
 
 
 def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    return canonical_from_word(rs, tuple(reversed(w.word)))
+    return canonical_from_word(rs, tuple(reversed(_as_element(w).word)))
 
 
 def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
@@ -158,9 +157,8 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
     return rep, w, regular
 
 
-def _orbit_points(rs: RootSystem, start: Weight, max_size: int | None = None) -> set[Weight]:
-    """Breadth-first closure of ``start`` under the simple reflections,
-    refused once it holds more than ``max_size`` points."""
+def _orbit_points(rs: RootSystem, start: Weight) -> set[Weight]:
+    """Breadth-first closure of ``start`` under the simple reflections."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -173,8 +171,6 @@ def _orbit_points(rs: RootSystem, start: Weight, max_size: int | None = None) ->
                 if yw not in seen:
                     seen.add(yw)
                     new.append(yw)
-            if max_size is not None and len(seen) > max_size:
-                raise DomainError(f"Weyl group of {rs.spec} exceeds max_size={max_size}")
         frontier = new
     return seen
 
@@ -202,11 +198,29 @@ def bar_involution(rs: RootSystem, lam) -> Weight:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _order(rs: RootSystem) -> int:
+    """|W| as the product of the degrees m + 1 of W.  The exponents m are the
+    dual partition of the numbers of positive roots of each height."""
+    heights = [sum(root_coords(rs, alpha)) for alpha in rs.positive_roots]
+    counts = [heights.count(h) for h in range(1, max(heights) + 1)]
+    return prod(1 + sum(n >= i for n in counts) for i in range(1, rs.rank + 1))
+
+
+def _check_order(rs: RootSystem, max_size: int | None) -> None:
+    """Refuse, before any walk, a Weyl group of more than ``max_size``
+    elements (``None``: no limit)."""
+    if max_size is not None and _order(rs) > max_size:
+        raise DomainError(f"Weyl group of {rs.spec} exceeds max_size={max_size}")
+
+
 def enumerate_elements(rs: RootSystem, max_size: int | None = 10 ** 6) -> list[WeylElement]:
     """All elements of the finite Weyl group, sorted by (length, word): the
     words of the rho-orbit, on which W acts simply transitively.
 
     Only sensible at small rank; ``max_size`` guards against accidents.
     """
-    elements = [_word_of(rs, list(x)) for x in _orbit_points(rs, rs.rho, max_size)]
+    _check_order(rs, max_size)
+    elements = [_word_of(rs, list(x)) for x in _orbit_points(rs, rs.rho)]
     return sorted(elements, key=lambda w: (w.length, w.word))
+

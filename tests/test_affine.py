@@ -18,7 +18,7 @@ from afftrans.affine import (
     inverse_affine,
     translation_element,
 )
-from afftrans.errors import DomainError, InexactCoordinateError, IterationLimitError
+from afftrans.errors import DomainError, InexactCoordinateError
 from afftrans.rootsys import Weight, coroot_pairings, root_system
 from afftrans.weyl import IDENTITY, WeylElement
 
@@ -300,6 +300,75 @@ def test_contract_table_covers_every_public_weight_function():
     assert not missing
 
 
+# ---------------------------------------------------------------------------
+# the public group-element contract
+
+# Every public function that takes a group element (``afftrans.__all__``
+# plus the ``weyl`` and ``affine`` helpers that act with one): valid keyword
+# arguments on A2 at P5, and its group-element parameters.  ``coeffs`` is
+# spoiled in its keys, ``generators`` in its members.
+ELEMENT_CONTRACT = [
+    (weyl.apply, dict(w=IDENTITY, lam=OK), "w"),
+    (weyl.compose, dict(w=IDENTITY, v=IDENTITY), "w v"),
+    (weyl.inverse, dict(w=IDENTITY), "w"),
+    (affine.finite_element, dict(w=IDENTITY), "w"),
+    (affine.affine_apply, dict(g=G, lam=OK, level=P5), "g"),
+    (affine.compose_affine, dict(g=G, h=G), "g h"),
+    (affine.inverse_affine, dict(g=G), "g"),
+    (affine.translation_lattice_coords, dict(g=G, level=P5), "g"),
+    (translate.translate_weyl, dict(g=G, mu=ZERO, lam=OK, level=P5), "g"),
+    (translate.translate_verma, dict(g=G, mu=ZERO, lam=OK, level=P5), "g"),
+    (translate.verify_weight_geometry,
+     dict(lam=OK, mu=ZERO, g=G, level=P5, bound=40), "g"),
+    (translate.make_character, dict(base=ZERO, coeffs={G: 1}, level=P5), "coeffs"),
+    (annihilator.make_labels, dict(base=ZERO, generators=[], level=P5), "generators"),
+]
+ELEMENT_PARAMS = {"g", "h", "w", "v", "coeffs", "generators"}
+# (spoiled value, the name the error gives it) where it is not the parameter
+SPOILED = {"coeffs": ({"e": 1}, "key"), "generators": (["e"], "generator")}
+
+
+def _element_cells():
+    return [pytest.param(fn, valid, param, id=f"{fn.__name__}-{param}")
+            for fn, valid, params in ELEMENT_CONTRACT for param in params.split()]
+
+
+def test_element_contract_rows_are_valid_calls():
+    for fn, valid, _ in ELEMENT_CONTRACT:
+        fn(A2, **valid)
+
+
+@pytest.mark.parametrize("fn,valid,param", _element_cells())
+def test_non_element_is_domain_error_naming_the_argument(fn, valid, param):
+    bad, name = SPOILED.get(param, ("e", param))
+    with pytest.raises(DomainError, match=f"^{name} is a str, not an? (Affine)?WeylElement$"):
+        _spoiled(fn, valid, param, bad)
+
+
+@pytest.mark.parametrize("fn,valid,param", [
+    cell for cell in _element_cells() if cell.values[2] in ("g", "h")])
+def test_non_weyl_finite_part_is_domain_error(fn, valid, param):
+    bad = AffineWeylElement(ZERO, (0,))
+    with pytest.raises(DomainError,
+                       match=f"^finite part of {param} is a tuple, not a WeylElement$"):
+        _spoiled(fn, valid, param, bad)
+
+
+def test_make_labels_refuses_a_non_collection():
+    for bad in (5, [[G]]):  # not iterable; an unhashable member
+        with pytest.raises(DomainError, match="generators must be a collection"):
+            annihilator.make_labels(A2, ZERO, bad, P5)
+
+
+def test_element_table_covers_every_public_element_function():
+    covered = {fn for fn, _, _ in ELEMENT_CONTRACT}
+    missing = [name for name in afftrans.__all__
+               if callable(obj := getattr(afftrans, name)) and not isinstance(obj, type)
+               and set(inspect.signature(obj).parameters) & ELEMENT_PARAMS
+               and obj not in covered]
+    assert not missing
+
+
 def test_open_alcove_membership_does_not_imply_regular():
     # B2 at p=5: [0,2]+rho pairs to 5 on a short positive root while staying
     # strictly inside the alcove, whose walls only see theta
@@ -335,16 +404,16 @@ HUGE = 99999999999999999999
 
 def test_huge_box_is_refused_with_its_cell_count():
     # the box is counted before it is walked, so no range overflows
-    with pytest.raises(IterationLimitError, match=f"has {HUGE} cells"):
+    with pytest.raises(DomainError, match=f"has {HUGE} cells"):
         affine.dominant_orbit(A1, [0], P5, HUGE)
-    with pytest.raises(IterationLimitError, match="above the cap of 10000000"):
+    with pytest.raises(DomainError, match="above the cap of 10000000"):
         affine.enumerate_dominant(A2, Level(HUGE, 1))
-    with pytest.raises(IterationLimitError, match="cells"):
+    with pytest.raises(DomainError, match="cells"):
         annihilator.admissible_list(A2, Level(HUGE, 1))
     # a box of exactly the cap is still walked (lazily: take the first weight)
     cap = affine._DOMINANT_BOX_CAP
     assert next(affine._dominant_box(A1, cap)) == (0,)
-    with pytest.raises(IterationLimitError, match=f"has {cap + 1} cells"):
+    with pytest.raises(DomainError, match=f"has {cap + 1} cells"):
         next(affine._dominant_box(A1, cap + 1))
 
 

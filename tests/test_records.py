@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from afftrans import affine, annihilator, translate
+from afftrans import affine, annihilator, rootsys, translate
 from afftrans.affine import AffineWeylElement, Level
 from afftrans.annihilator import SubmoduleLabels
 from afftrans.rootsys import RootSystem, RootSystemSpec, Weight, root_system
@@ -124,3 +124,52 @@ def test_linkage_character_is_mutable_and_unhashable():
         hash(a)
     chi = translate.make_character(A2, [0, 0], {affine.identity_element(2): 1}, P5)
     assert pickle.loads(pickle.dumps(chi)) == chi
+
+
+# ---------------------------------------------------------------------------
+# the one record protocol, over every record class
+
+CHI = translate.make_character(A2, [0, 0], {affine.identity_element(2): 3}, P5)
+SAMPLES = {type(record): record for record in FROZEN + [CHI]}
+
+
+def _record_classes(base=rootsys._Record):
+    found = set()
+    for cls in base.__subclasses__():
+        found |= _record_classes(cls)
+        if cls.__slots__:  # a layer of the base such as _Frozen has none
+            found.add(cls)
+    return found
+
+
+def test_every_record_class_has_a_sample():
+    # a new record class must join SAMPLES, and so every test below
+    assert _record_classes() == set(SAMPLES)
+    assert len(SAMPLES) == 8
+
+
+@pytest.mark.parametrize("record", SAMPLES.values(), ids=lambda r: type(r).__name__)
+def test_record_protocol(record):
+    cls = type(record)
+    # derived by the base, but for RootSystem's cached hash and its pickles
+    # through build_root_system (LinkageCharacter's __hash__ is None)
+    own = {name for name in ("__eq__", "__hash__", "__repr__", "__reduce__")
+           if not getattr(getattr(cls, name), "__qualname__", "_Record.").startswith("_Record.")}
+    assert own == ({"__hash__", "__reduce__"} if cls is RootSystem else set())
+    fields = cls.__slots__[:15] if cls is RootSystem else cls.__slots__
+    values = tuple(getattr(record, name) for name in fields)
+    for other in (object(), values, *(r for r in SAMPLES.values() if r is not record)):
+        assert record.__eq__(other) is NotImplemented
+    if cls is RootSystem:
+        assert hash(record) == hash(record.spec)
+    elif cls is LinkageCharacter:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+    shown = fields[:9] if cls is RootSystem else fields
+    assert repr(record) == (
+        f"{cls.__name__}({', '.join(f'{n}={getattr(record, n)!r}' for n in shown)})")
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and repr(clone) == repr(record)

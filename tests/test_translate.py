@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -234,6 +236,14 @@ def test_make_character_orders_and_validates():
 def test_make_character_refuses_a_non_mapping():
     with pytest.raises(DomainError, match="got a list"):
         translate.make_character(A1, Weight([0]), [SAFF], P5)
+
+
+@pytest.mark.parametrize("bad", ["x", 1.5, Fraction(1, 2), True, 0.0, False],
+                         ids=["str", "float", "Fraction", "True", "zero-float", "False"])
+def test_make_character_refuses_a_non_int_coefficient(bad):
+    # checked before zeros are dropped, so 0.0 and False are refused too
+    with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not an int$"):
+        translate.make_character(A1, Weight([0]), {SAFF: bad}, P5)
 
 
 def test_make_character_drops_zeros():

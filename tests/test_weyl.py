@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,29 @@ def test_enumerate_elements_size_guard():
         assert len(weyl.enumerate_elements(rs, max_size=order)) == order
         with pytest.raises(DomainError, match=f"exceeds max_size={order - 1}$"):
             weyl.enumerate_elements(rs, max_size=order - 1)
+
+
+ORDER_TYPES = ["A1", "A2", "A3", "B2", "B3", "B4", "C3", "D4", "D5", "E6", "E7",
+               "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", ORDER_TYPES)
+def test_closed_form_order_matches_the_oracle(name):
+    assert weyl._order(root_system(name)) == oracles.weyl_order(name[0], int(name[1:]))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda e7: weyl.enumerate_elements(e7), id="enumerate_elements"),
+    pytest.param(lambda e7: translate.verify_weight_geometry(
+        e7, [0] * 7, [0] * 7, identity_element(7), Level(40, 1), 400),
+        id="verify_weight_geometry"),
+])
+def test_e7_is_refused_before_any_walk(call):
+    e7 = root_system("E7")
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^Weyl group of E7 exceeds max_size=1000000$"):
+        call(e7)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
