@@ -20,7 +20,7 @@ from math import gcd, prod
 
 from . import weyl
 from .errors import DomainError, InexactCoordinateError, IterationLimitError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen, root_coords
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, root_coords
 from .weyl import IDENTITY, WeylElement
 
 _ALCOVE_WALK_CAP = 10 ** 6
@@ -63,6 +63,11 @@ class Level(_Frozen):
         return f"{self.p}/{self.q}"
 
 
+def _as_level(level) -> Level:
+    """``level`` once it is a ``Level``: the one level check of the public API."""
+    return _as_instance(level, Level, "level")
+
+
 class AffineWeylElement(_Frozen):
     """(t_beta, w): translation part beta (a weight in p times the root
     lattice) and finite part w.  The pair is the canonical form."""
@@ -85,11 +90,8 @@ _set_finite = AffineWeylElement.finite.__set__
 def _as_affine_element(g, what: str = "g") -> AffineWeylElement:
     """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite
     part: the one affine group-element check of the public API."""
-    if not isinstance(g, AffineWeylElement):
-        raise DomainError(f"{what} is a {type(g).__name__}, not an AffineWeylElement")
-    if not isinstance(g.finite, WeylElement):
-        raise DomainError(f"finite part of {what} is a {type(g.finite).__name__}, "
-                          "not a WeylElement")
+    g = _as_instance(g, AffineWeylElement, what)
+    _as_instance(g.finite, WeylElement, f"finite part of {what}")
     return g
 
 
@@ -105,7 +107,7 @@ def identity_element(rank: int) -> AffineWeylElement:
 
 
 def finite_element(rs: RootSystem, w: WeylElement) -> AffineWeylElement:
-    return AffineWeylElement(Weight.zero(rs.rank), weyl._as_element(w))
+    return AffineWeylElement(Weight.zero(rs.rank), _as_instance(w, WeylElement, "w"))
 
 
 def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
@@ -128,7 +130,7 @@ def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
     """Root-basis coordinates of the translation part; must lie in p Q."""
     rc = root_coords(rs, _as_affine_element(g).translation)
-    p = level.p
+    p = _as_level(level).p
     out = []
     for c in rc:
         if not isinstance(c, int) or c % p != 0:
@@ -146,7 +148,7 @@ def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Wei
 
 def theta_wall_reflection(rs: RootSystem, level: Level) -> AffineWeylElement:
     """The affine reflection through the wall (lam + rho, theta) = p."""
-    return AffineWeylElement(level.p * rs.theta, _theta_reflection(rs))
+    return AffineWeylElement(_as_level(level).p * rs.theta, _theta_reflection(rs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,17 +168,17 @@ def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *,
     ``lam + rho`` dominant (regular when strict) and
     ``0 < (lam + rho, theta) < p`` (``<=`` when not strict)."""
     shifted = [c + 1 for c in _as_weight(rs, lam)]
-    height = _theta_height(rs, shifted)
+    height, p = _theta_height(rs, shifted), _as_level(level).p
     if strict:
-        return all(c > 0 for c in shifted) and 0 < height < level.p
-    return all(c >= 0 for c in shifted) and 0 <= height <= level.p
+        return all(c > 0 for c in shifted) and 0 < height < p
+    return all(c >= 0 for c in shifted) and 0 <= height <= p
 
 
 def is_regular(rs: RootSystem, lam, level: Level) -> bool:
     """No wall of the affine arrangement through lam: <lam+rho, alpha^vee>
     is not a multiple of p for any positive root alpha."""
     shifted = [c + 1 for c in _as_weight(rs, lam)]
-    p = level.p
+    p = _as_level(level).p
     for row in rs.coroot_rows:
         val = sum(c * x for c, x in zip(row, shifted) if c)
         if val % p == 0:
@@ -237,7 +239,7 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
     through the wall ``(mu, theta) = p`` applied to ``mu = lam + rho``.
     """
     lam = _as_weight(rs, lam, integral=True)
-    p = level.p
+    p = _as_level(level).p
     letters: list[int] = []
     x = _alcove_walk(rs, [c + 1 for c in lam], p, letters)
     rep = Weight(c - 1 for c in x)
@@ -258,8 +260,8 @@ def linked(rs: RootSystem, lam, mu, level: Level) -> bool:
     equal alcove representatives."""
     lam, mu = _as_weight(rs, lam), _as_weight(rs, mu)  # both ranks first
     lam, mu = _as_weight(rs, lam, integral=True), _as_weight(rs, mu, integral=True)
-    return (_alcove_rep_coords(rs, tuple(lam), level.p)
-            == _alcove_rep_coords(rs, tuple(mu), level.p))
+    p = _as_level(level).p
+    return _alcove_rep_coords(rs, tuple(lam), p) == _alcove_rep_coords(rs, tuple(mu), p)
 
 
 def _dominant_box(rs: RootSystem, height: int):
@@ -277,11 +279,15 @@ def _dominant_box(rs: RootSystem, height: int):
             yield coords
 
 
-@functools.lru_cache(maxsize=4096)
 def enumerate_dominant(rs: RootSystem, level: Level) -> tuple[Weight, ...]:
     """All dominant integral weights in the open fundamental alcove, sorted
     lexicographically.  Empty when p is at most the dual Coxeter number."""
-    return tuple(Weight(coords) for coords in _dominant_box(rs, level.p - 1))
+    return _alcove_weights(rs, _as_level(level).p)
+
+
+@functools.lru_cache(maxsize=4096)  # by p: the alcove reads no other part of the level
+def _alcove_weights(rs: RootSystem, p: int) -> tuple[Weight, ...]:
+    return tuple(Weight(coords) for coords in _dominant_box(rs, p - 1))
 
 
 def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import affine, translate
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen
 
 
 class SubmoduleLabels(_Frozen):
@@ -83,7 +83,7 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     sets are preserved verbatim.
     """
     zero = Weight.zero(rs.rank)
-    if labels.base != zero:
+    if _as_instance(labels, SubmoduleLabels, "labels").base != zero:
         raise DomainError(f"transport starts from base 0, not {labels.base}")
     lam = _as_weight(rs, lam, "lam")
     # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.

@@ -136,8 +136,8 @@ def _char_items(rs: RootSystem, lam: Weight):
     """Full weight support of the character, as sorted (weight, mult) pairs."""
     items = []
     for nu, m in _dominant_mults(rs, lam).items():
-        for x in weyl.orbit(rs, nu):
-            items.append((x, m))
+        for x, _, _ in weyl._descend(rs, nu):
+            items.append((Weight(x), m))
     items.sort()
     return tuple(items)
 
@@ -189,25 +189,11 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     return dict(sorted(out.items()))
 
 
-def _descend(rs: RootSystem, start: Weight, bound: tuple | None = None) -> list:
-    """(drop rc(start - x), depth parity) for every x in the W-orbit of the
-    dominant ``start`` whose drop is at most ``bound``: breadth-first through
-    the simple reflections that lower x, along which the drop only grows.
-    From the regular start rho the depth parity is eps(w)."""
-    level, sign, terms = {tuple(start): (0,) * rs.rank}, 1, []
-    while level:
-        terms.extend((drop, sign) for drop in level.values())
-        level, sign = {tuple(a - c * b for a, b in zip(x, rs.simple_roots[i])):
-                       drop[:i] + (drop[i] + c,) + drop[i + 1:]
-                       for x, drop in level.items() for i, c in enumerate(x)
-                       if 0 < c and (bound is None or drop[i] + c <= bound[i])}, -sign
-    return terms
-
-
 @lru_cache(maxsize=4096)
 def _orbit_cells(rs: RootSystem, lam: Weight) -> tuple:
-    """Per dominant nu below lam: (drop, nu, drops rc(lam - x) over W.nu)."""
-    return tuple((drop, nu, tuple(tuple(map(add, drop, d)) for d, _ in _descend(rs, nu)))
+    """Per dominant nu below lam: (drop, nu, drops rc(lam - x) over the orbit
+    W.nu that :func:`weyl._descend` lists)."""
+    return tuple((drop, nu, tuple(tuple(map(add, drop, d)) for _, d, _ in weyl._descend(rs, nu)))
                  for drop, nu in _dominant_below(rs, lam))
 
 
@@ -222,15 +208,16 @@ def _char_grid(rs: RootSystem, lam: Weight) -> tuple:
 def _product_plan(rs: RootSystem, top: Weight) -> tuple:
     """Flat layout of a character product with highest weight ``top``: its box
     strides and size and, per dominant nu below top, nu, the cells of W.nu
-    and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1."""
+    and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1,
+    for the w(rho) that :func:`weyl._descend` lists under the drops of top."""
     rows = _orbit_cells(rs, top)
     shape = [max(axis) + 1 for axis in zip(*rows[0][2])]  # W.top reaches w0(top)
     strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
-    terms = _descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))
+    terms = weyl._descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))
     plan = []
     for drop, nu, drops in rows:
         at, signed = sum(map(mul, drop, strides)), ([], [])
-        for d, eps in terms:
+        for _, d, eps in terms:
             if all(map(le, d, drop)):
                 signed[eps < 0].append(at - sum(map(mul, d, strides)))
         plan.append((nu, tuple(sum(map(mul, d, strides)) for d in drops),

@@ -18,6 +18,7 @@ from operator import attrgetter
 from .errors import DomainError, InexactCoordinateError, InvalidRootSystemError
 
 _INT_ONLY = frozenset({int})
+_TEXT = frozenset({str, bytes, bytearray})  # iterable, but neither a number nor a weight
 
 
 def _exact(value) -> int | Fraction:
@@ -26,7 +27,12 @@ def _exact(value) -> int | Fraction:
     # Floats are rejected outright: exactness is a hard invariant of Weight.
     if isinstance(value, float):
         raise InexactCoordinateError(f"floating point coordinate {value!r} is not allowed")
-    f = Fraction(value)
+    try:  # Fraction would parse a str and widen a bool: refuse both
+        f = None if isinstance(value, (str, bool)) else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        f = None
+    if f is None:
+        raise DomainError(f"coordinate {value!r} is a {type(value).__name__}, not a number")
     return int(f) if f.denominator == 1 else f
 
 
@@ -35,13 +41,19 @@ class Weight(tuple):
 
     Supports vector addition/subtraction, negation and scalar multiplication
     by integers or Fractions.  Instances are immutable and hashable, and
-    compare/sort lexicographically like plain tuples.
+    compare/sort lexicographically like plain tuples.  A float coordinate is
+    an ``InexactCoordinateError``, any other non-number a ``DomainError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, coords):
-        wt = super().__new__(cls, coords)
+        try:
+            wt = None if type(coords) in _TEXT else super().__new__(cls, coords)
+        except TypeError:  # not iterable, or raised while making the coordinates
+            wt = None
+        if wt is None:
+            raise DomainError(f"weight {coords!r} is not a sequence of numbers")
         if _INT_ONLY.issuperset(map(type, wt)):
             return wt
         return super().__new__(cls, map(_exact, wt))
@@ -313,36 +325,19 @@ class RootSystem(_Frozen, compared=15, shown=9):
 
 
 def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple[Weight, tuple[int, ...]]]:
-    """All positive roots as (fundamental coords, root-basis coords), by height."""
-    cols = [Weight(cartan[i][j] for i in range(rank)) for j in range(rank)]
-    unit = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    roots: dict[Weight, tuple[int, ...]] = {cols[j]: unit[j] for j in range(rank)}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for alpha in frontier:
-            rc = roots[alpha]
-            for i in range(rank):
-                # alpha + alpha_i is a root iff p - <alpha, alpha_i^vee> > 0,
-                # where p is the number of root steps below alpha in direction i.
-                p = 0
-                down = alpha
-                while True:
-                    down = down - cols[i]
-                    if down in roots:
-                        p += 1
-                    else:
-                        break
-                if alpha == cols[i]:
-                    continue
-                if p - alpha[i] > 0:
-                    up = alpha + cols[i]
-                    if up not in roots:
-                        roots[up] = tuple(a + int(k == i) for k, a in enumerate(rc))
-                        new.append(up)
-        frontier = new
-    items = sorted(roots.items(), key=lambda kv: (sum(kv[1]), kv[0]))
-    return items
+    """All positive roots as (fundamental coords, root-basis coords), by height:
+    the simple roots under every simple reflection that raises a root (the
+    twin of :func:`weyl._descend`), since a non-simple positive root has a
+    simple reflection that lowers it to a positive root."""
+    cols = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
+    roots = level = {cols[j]: tuple(int(i == j) for i in range(rank)) for j in range(rank)}
+    while level:
+        level = {tuple(a - c * b for a, b in zip(alpha, cols[i])):
+                 rc[:i] + (rc[i] - c,) + rc[i + 1:]
+                 for alpha, rc in level.items() for i, c in enumerate(alpha) if c < 0}
+        roots.update(level)
+    return sorted(((Weight(alpha), rc) for alpha, rc in roots.items()),
+                  key=lambda item: (sum(item[1]), item[0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,7 +412,7 @@ def _as_weight(rs: RootSystem, wt, what: str = "weight", *,
     ``integral`` is set, and dominant integral when ``dominant`` is set.
 
     This is the one rank, integrality and dominance check of the public API
-    (float coordinates are refused by ``Weight`` itself).
+    (floats and other non-numbers are refused by ``Weight`` itself).
     """
     w = wt if isinstance(wt, Weight) else Weight(wt)
     if len(w) != rs.rank:
@@ -427,6 +422,15 @@ def _as_weight(rs: RootSystem, wt, what: str = "weight", *,
     if integral and not w.is_integral:
         raise DomainError(f"{what} {w} is not integral")
     return w
+
+
+def _as_instance(value, cls: type, what: str):
+    """``value`` once it is a ``cls``: the one type check of the group elements,
+    levels and records the public API takes; a ``DomainError`` names ``what``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} is a {type(value).__name__}, not {article} {cls.__name__}")
+    return value
 
 
 def _divide(num, den: int) -> int | Fraction:

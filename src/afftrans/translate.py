@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen, _Record, root_coords
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, _Record, root_coords
 
 
 class TranslationDatum(_Frozen):
@@ -71,8 +71,8 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
     # Validate and look up the target once, not once per key as ``linked`` would.
-    p = level.p
     tgt = _as_alcove_weight(rs, target, level, "target")
+    p = level.p
     rep = affine._alcove_rep_coords(rs, tuple(tgt), p)
     return {nu: m for nu, m in parts.items()
             if affine._alcove_rep_coords(
@@ -150,7 +150,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     ok = True
     # lam + rho is regular dominant: its orbit meets every w once, and the
     # dominant walk of w(lam + rho) spells w as that of w(rho) does.
-    for y in weyl._orbit_points(rs, lam + rs.rho):
+    for y, _, _ in weyl._descend(rs, lam + rs.rho):
         for nu in buckets.get(residue(y), ()):
             found = True
             w1 = AffineWeylElement(shifted_start + nu - y, weyl._word_of(rs, list(y)))
@@ -217,6 +217,7 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
     Coefficients ride along unchanged; a key is dropped only if its image at
     the new base leaves the dominant cone (for regular bases none do).
     """
+    _as_instance(chi, LinkageCharacter, "chi")
     _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
     lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
     kept = [g for g in chi.coeffs if affine.affine_apply(rs, g, lam, chi.level).is_dominant]

@@ -10,6 +10,10 @@ iff ``w^{-1}(alpha_j) < 0`` iff coordinate ``j`` of ``w(rho)`` is negative.
 The lex-least reduced word is the smallest left descent ``j`` followed by
 the lex-least reduced word of ``s_j w``; walking ``w(rho)`` to ``rho``
 strips exactly those letters, so its letters are the canonical word.
+
+Every orbit is listed by :func:`_descend`, that walk run backwards from the
+dominant point: weight orbits, the group itself (the orbit of ``rho``) and
+the signed sums of the character layer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import functools
 from math import prod
 
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_weight, _Frozen, pairing, root_coords
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, pairing, root_coords
 
 
 class WeylElement(_Frozen):
@@ -48,14 +52,6 @@ class WeylElement(_Frozen):
 
 _set_word = WeylElement.word.__set__  # the slot's setter, past __setattr__
 IDENTITY = WeylElement(())
-
-
-def _as_element(w, what: str = "w") -> WeylElement:
-    """``w`` once it is a ``WeylElement``: the one finite group-element check
-    of the public API (its letters are checked where the word acts)."""
-    if not isinstance(w, WeylElement):
-        raise DomainError(f"{what} is a {type(w).__name__}, not a WeylElement")
-    return w
 
 
 def _reflect_in_place(rs: RootSystem, coords: list, i: int) -> None:
@@ -107,7 +103,7 @@ def _word_of(rs: RootSystem, x: list) -> WeylElement:
 
 def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weight:
     """w(lam) for the plain action, or w.lam = w(lam+rho)-rho when shifted."""
-    word = _as_element(w).word
+    word = _as_instance(w, WeylElement, "w").word
     lam = _as_weight(rs, lam)
     if shifted:
         out = _apply_word(rs, word, [c + 1 for c in lam])
@@ -123,11 +119,12 @@ def canonical_from_word(rs: RootSystem, word) -> WeylElement:
 
 def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
     """The product w v (w applied after v)."""
-    return canonical_from_word(rs, _as_element(w).word + _as_element(v, "v").word)
+    word = _as_instance(w, WeylElement, "w").word + _as_instance(v, WeylElement, "v").word
+    return canonical_from_word(rs, word)
 
 
 def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    return canonical_from_word(rs, tuple(reversed(_as_element(w).word)))
+    return canonical_from_word(rs, tuple(reversed(_as_instance(w, WeylElement, "w").word)))
 
 
 def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:
@@ -157,31 +154,30 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
     return rep, w, regular
 
 
-def _orbit_points(rs: RootSystem, start: Weight) -> set[Weight]:
-    """Breadth-first closure of ``start`` under the simple reflections."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for i in range(rs.rank):
-                y = list(x)
-                _reflect_in_place(rs, y, i)
-                yw = Weight(y)
-                if yw not in seen:
-                    seen.add(yw)
-                    new.append(yw)
-        frontier = new
-    return seen
+def _descend(rs: RootSystem, start, bound: tuple | None = None) -> list:
+    """(x, drop rc(start - x), depth parity) for every x in the W-orbit of the
+    dominant ``start`` whose drop is at most ``bound``: breadth-first through
+    the simple reflections that lower x, along which the drop only grows.
+    Each point is listed once, at the length of the shortest w with
+    ``x = w(start)``; from a regular start the depth parity is eps(w)."""
+    level, sign, terms = {tuple(start): (0,) * rs.rank}, 1, []
+    while level:
+        terms.extend((x, drop, sign) for x, drop in level.items())
+        level, sign = {tuple(a - c * b for a, b in zip(x, rs.simple_roots[i])):
+                       drop[:i] + (drop[i] + c,) + drop[i + 1:]
+                       for x, drop in level.items() for i, c in enumerate(x)
+                       if 0 < c and (bound is None or drop[i] + c <= bound[i])}, -sign
+    return terms
 
 
 def orbit(rs: RootSystem, lam, *, shifted: bool = False) -> set[Weight]:
-    """The full finite orbit of lam under the chosen action."""
+    """The full finite orbit of lam under the chosen action: the orbit of the
+    dominant point of lam (of lam + rho when shifted)."""
     lam = _as_weight(rs, lam)
     if shifted:
-        seen = _orbit_points(rs, Weight([c + 1 for c in lam]))
-        return {Weight(c - 1 for c in x) for x in seen}
-    return _orbit_points(rs, lam)
+        top = _dominant_walk(rs, [c + 1 for c in lam])
+        return {Weight(c - 1 for c in x) for x, _, _ in _descend(rs, top)}
+    return {Weight(x) for x, _, _ in _descend(rs, _dominant_walk(rs, list(lam)))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,6 +217,6 @@ def enumerate_elements(rs: RootSystem, max_size: int | None = 10 ** 6) -> list[W
     Only sensible at small rank; ``max_size`` guards against accidents.
     """
     _check_order(rs, max_size)
-    elements = [_word_of(rs, list(x)) for x in _orbit_points(rs, rs.rho)]
+    elements = [_word_of(rs, list(x)) for x, _, _ in _descend(rs, rs.rho)]
     return sorted(elements, key=lambda w: (w.length, w.word))
 

@@ -273,6 +273,20 @@ def test_float_coordinate_is_domain_error(fn, valid, param):
         _spoiled(fn, valid, param, [1.0, 0])
 
 
+@pytest.mark.parametrize("fn,valid,param", _cells())
+def test_non_number_coordinate_is_domain_error(fn, valid, param):
+    for bad in (["1/2", 0], [True, 0], [None, 0], [b"1", 0]):
+        with pytest.raises(DomainError, match=r"^coordinate .+ is a \w+, not a number$"):
+            _spoiled(fn, valid, param, bad)
+
+
+@pytest.mark.parametrize("fn,valid,param", _cells())
+def test_non_sequence_weight_is_domain_error(fn, valid, param):
+    for bad in (5, None, "ab", b"ab"):
+        with pytest.raises(DomainError, match="is not a sequence of numbers$"):
+            _spoiled(fn, valid, param, bad)
+
+
 @pytest.mark.parametrize("fn,valid,param", _cells(integral_only=True))
 def test_nonintegral_weight_is_domain_error(fn, valid, param):
     with pytest.raises(DomainError):
@@ -367,6 +381,76 @@ def test_element_table_covers_every_public_element_function():
                and set(inspect.signature(obj).parameters) & ELEMENT_PARAMS
                and obj not in covered]
     assert not missing
+
+
+# ---------------------------------------------------------------------------
+# the public level and record contract
+
+# Every public function that takes a level (``afftrans.__all__`` plus
+# ``affine.translation_lattice_coords``): valid keyword arguments on A2 at P5.
+LEVEL_CONTRACT = [
+    (affine.translation_lattice_coords, dict(g=G, level=P5)),
+    (affine.affine_apply, dict(g=G, lam=OK, level=P5)),
+    (affine.theta_wall_reflection, dict(level=P5)),
+    (affine.in_fundamental_alcove, dict(lam=OK, level=P5)),
+    (affine.is_regular, dict(lam=OK, level=P5)),
+    (affine.alcove_rep, dict(lam=OK, level=P5)),
+    (affine.linked, dict(lam=OK, mu=ZERO, level=P5)),
+    (affine.enumerate_dominant, dict(level=P5)),
+    (affine.dominant_orbit, dict(lam=OK, level=P5, bound=10)),
+    (translate.check_datum, dict(lam_left=OK, lam_right=OK, lam=ZERO, level=P5)),
+    (translate.project_linkage, dict(parts={}, target=OK, level=P5)),
+    (translate.translate_weyl, dict(g=G, mu=ZERO, lam=OK, level=P5)),
+    (translate.translate_verma, dict(g=G, mu=ZERO, lam=OK, level=P5)),
+    (translate.verify_weight_geometry, dict(lam=OK, mu=ZERO, g=G, level=P5, bound=40)),
+    (translate.make_character, dict(base=OK, coeffs={}, level=P5)),
+    (annihilator.make_labels, dict(base=OK, generators=[], level=P5)),
+    (annihilator.admissible_list, dict(level=P5)),
+    (annihilator.singular_generator_label, dict(level=P5)),
+]
+
+
+def test_level_contract_rows_are_valid_calls():
+    for fn, valid in LEVEL_CONTRACT:
+        fn(A2, **valid)
+
+
+@pytest.mark.parametrize("fn,valid", [pytest.param(fn, valid, id=fn.__name__)
+                                      for fn, valid in LEVEL_CONTRACT])
+def test_non_level_is_domain_error_naming_the_argument(fn, valid):
+    for bad in (5, [5], "5/1", Fraction(5)):  # [5]: unhashable, before any cache
+        with pytest.raises(DomainError, match=f"^level is a {type(bad).__name__}, not a Level$"):
+            _spoiled(fn, valid, "level", bad)
+
+
+def test_level_table_covers_every_public_level_function():
+    covered = {fn for fn, _ in LEVEL_CONTRACT}
+    missing = [name for name in afftrans.__all__
+               if callable(obj := getattr(afftrans, name)) and not isinstance(obj, type)
+               and "level" in inspect.signature(obj).parameters and obj not in covered]
+    assert not missing
+
+
+CHI = translate.make_character(A2, ZERO, {}, P5)
+LABELS = annihilator.make_labels(A2, ZERO, [], P5)
+
+
+@pytest.mark.parametrize("fn,valid,param,cls", [
+    (translate.translate_character, dict(chi=CHI, lam=OK), "chi", "LinkageCharacter"),
+    (translate.round_trip_check, dict(chi=CHI, lam=OK), "chi", "LinkageCharacter"),
+    (annihilator.transport, dict(labels=LABELS, lam=OK), "labels", "SubmoduleLabels"),
+])
+def test_non_record_is_domain_error_naming_the_argument(fn, valid, param, cls):
+    for bad in ("x", 5, LABELS if param == "chi" else CHI):
+        with pytest.raises(DomainError, match=f"^{param} is a {type(bad).__name__}, not a {cls}$"):
+            _spoiled(fn, valid, param, bad)
+
+
+def test_record_holding_a_non_level_is_domain_error():
+    with pytest.raises(DomainError, match="^level is a int, not a Level$"):
+        translate.translate_character(A2, translate.LinkageCharacter(5, ZERO, {}), OK)
+    with pytest.raises(DomainError, match="^level is a int, not a Level$"):
+        annihilator.transport(A2, annihilator.SubmoduleLabels(ZERO, 5, frozenset()), OK)
 
 
 def test_open_alcove_membership_does_not_imply_regular():

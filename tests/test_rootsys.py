@@ -183,6 +183,22 @@ def test_positive_root_count_closed_form(name):
     assert len(rs.negative_root_set) == len(rs.positive_roots)
 
 
+@pytest.mark.parametrize("name", [name for name in TYPES if name != "E6"])
+def test_positive_roots_are_the_positive_images_of_simple_roots(name):
+    # Every root is a W-image of a simple root; the positive ones have
+    # nonnegative root coordinates.  (E6: 51,840 oracle matrices, too slow.)
+    rs = root_system(name)
+    cartan = oracles.cartan_matrix(*_series_rank(name))
+    n = rs.rank
+    simple = [tuple(cartan[i][j] for i in range(n)) for j in range(n)]
+    images = {oracles._mat_vec(m, alpha)
+              for m in oracles.weyl_group(cartan) for alpha in simple}
+    positive = {v for v in images if min(oracles.root_coordinates(cartan, v)) >= 0}
+    assert set(rs.positive_roots) == positive
+    heights = [sum(root_coords(rs, alpha)) for alpha in rs.positive_roots]
+    assert heights == sorted(heights)
+
+
 @pytest.mark.parametrize("name", TYPES)
 def test_cartan_matches_reference_table(name):
     series, rank = _series_rank(name)
@@ -248,6 +264,24 @@ def test_weight_rejects_floats():
         Weight([0.5])
     with pytest.raises(TypeError):
         Weight([1, 2]) * 1.5
+
+
+@pytest.mark.parametrize("bad", [[True, 0], ["1/2", 0], [None, 0], [b"1", 0], [1j, 0]])
+def test_weight_refuses_non_number_coordinates(bad):
+    with pytest.raises(DomainError, match=r"^coordinate .+ is a \w+, not a number$"):
+        Weight(bad)
+
+
+@pytest.mark.parametrize("bad", [5, None, "12", b"\x01\x00", bytearray(2)])
+def test_weight_refuses_non_sequences(bad):
+    with pytest.raises(DomainError, match="^weight .+ is not a sequence of numbers$"):
+        Weight(bad)
+
+
+def test_weight_scalar_must_be_a_number():
+    for bad in (True, "2"):
+        with pytest.raises(DomainError, match="not a number$"):
+            Weight([1, 2]) * bad
 
 
 def test_weight_flags_and_text():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,26 @@ def test_orbit_size_divides_group_order(name):
     for _ in range(10):
         lam = Weight(rng.randint(0, 3) for _ in range(rs.rank))
         assert order % len(weyl.orbit(rs, lam)) == 0
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_orbit_is_the_matrix_group_image(name):
+    # dominant, singular, non-dominant and fractional weights, against the
+    # oracle's matrices: plain w(lam) and shifted w(lam + rho) - rho
+    rs = root_system(name)
+    group = oracles.weyl_group(oracles.cartan_matrix(name[0], int(name[1:])))
+    n = rs.rank
+    rng = random.Random(5)
+    weights = [rs.rho, Weight.zero(n), Weight([0] * (n - 1) + [2]),
+               Weight(rng.randint(-3, 3) for _ in range(n)),
+               Weight(rng.randint(-3, 3) for _ in range(n)),
+               Weight([Fraction(1, 2), -3, Fraction(-2, 3)][:n])]
+    for lam in weights:
+        plain = {oracles._mat_vec(m, lam) for m in group}
+        assert weyl.orbit(rs, lam) == plain
+        moved = {oracles._mat_vec(m, [c + 1 for c in lam]) for m in group}
+        assert weyl.orbit(rs, lam, shifted=True) == {
+            tuple(c - 1 for c in x) for x in moved}
 
 
 @pytest.mark.parametrize("name", SMALL)
