@@ -131,19 +131,24 @@ def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Leve
     """Root-basis coordinates of the translation part; must lie in p Q."""
     rc = root_coords(rs, _as_affine_element(g).translation)
     p = _as_level(level).p
-    out = []
-    for c in rc:
-        if not isinstance(c, int) or c % p != 0:
-            raise DomainError(
-                f"translation {g.translation} is not in {p}Q (root coords {rc})")
-        out.append(c)
-    return tuple(out)
+    if not all(isinstance(c, int) and c % p == 0 for c in rc):
+        raise DomainError(f"translation {g.translation} is not in {p}Q (root coords {rc})")
+    return rc
 
 
 def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Weight:
-    """Dot action (t_beta, w) . lam = w . lam + beta (finite dot, then shift)."""
+    """Dot action (t_beta, w) . lam = w . lam + beta; checks g's lattice, lam, g's letters."""
     translation_lattice_coords(rs, g, level)
-    return weyl.apply(rs, g.finite, lam, shifted=True) + g.translation
+    return _dot(rs, g, _as_weight(rs, lam))
+
+
+def _dot(rs: RootSystem, g, lam: Weight, level: Level | None = None) -> Weight:
+    """``g . lam`` for a checked ``lam``; ``g`` passes the lattice check here when
+    ``level`` is given.  Only the word's letters are checked, as they are applied."""
+    if level is not None:
+        translation_lattice_coords(rs, g, level)
+    x = weyl._apply_word(rs, g.finite.word, [c + 1 for c in lam])
+    return Weight(c - 1 + t for c, t in zip(x, g.translation))
 
 
 def theta_wall_reflection(rs: RootSystem, level: Level) -> AffineWeylElement:
@@ -162,42 +167,43 @@ def _theta_height(rs: RootSystem, coords):
     return sum(c * x for c, x in zip(row, coords) if c)
 
 
+def _inside(rs: RootSystem, shifted, p: int, strict: bool = True) -> bool:
+    """:func:`in_fundamental_alcove` for ``shifted = lam + rho``."""
+    low, height = min(shifted), _theta_height(rs, shifted)
+    return low > 0 and height < p if strict else low >= 0 and height <= p
+
+
+def _off_walls(rs: RootSystem, shifted, p: int) -> bool:
+    """:func:`is_regular` for ``shifted = lam + rho``."""
+    return all(sum(c * x for c, x in zip(row, shifted) if c) % p for row in rs.coroot_rows)
+
+
 def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *,
                           strict: bool = True) -> bool:
     """Membership of the open (``strict``) or closed fundamental alcove:
     ``lam + rho`` dominant (regular when strict) and
     ``0 < (lam + rho, theta) < p`` (``<=`` when not strict)."""
-    shifted = [c + 1 for c in _as_weight(rs, lam)]
-    height, p = _theta_height(rs, shifted), _as_level(level).p
-    if strict:
-        return all(c > 0 for c in shifted) and 0 < height < p
-    return all(c >= 0 for c in shifted) and 0 <= height <= p
+    return _inside(rs, [c + 1 for c in _as_weight(rs, lam)], _as_level(level).p, strict)
 
 
 def is_regular(rs: RootSystem, lam, level: Level) -> bool:
     """No wall of the affine arrangement through lam: <lam+rho, alpha^vee>
     is not a multiple of p for any positive root alpha."""
-    shifted = [c + 1 for c in _as_weight(rs, lam)]
-    p = _as_level(level).p
-    for row in rs.coroot_rows:
-        val = sum(c * x for c, x in zip(row, shifted) if c)
-        if val % p == 0:
-            return False
-    return True
+    return _off_walls(rs, [c + 1 for c in _as_weight(rs, lam)], _as_level(level).p)
 
 
 def _as_alcove_weight(rs: RootSystem, wt, level: Level, what: str = "weight", *,
                       regular: bool = False) -> Weight:
     """``wt`` as an integral ``Weight`` strictly inside the fundamental alcove
-    and, when ``regular`` is set, off every wall at ``level``.
-
-    This is the one alcove check of the public API.
+    and, when ``regular`` is set, off every wall at ``level``: the one alcove
+    check of the public API, whose result private cores (:func:`_dot`) trust.
     """
     w = _as_weight(rs, wt, what, integral=True)
-    if not in_fundamental_alcove(rs, w, level):
+    shifted, p = [c + 1 for c in w], _as_level(level).p
+    if not _inside(rs, shifted, p):
         raise DomainError(f"{what} {w} is not strictly inside the fundamental "
                           f"alcove at level {level}")
-    if regular and not is_regular(rs, w, level):
+    if regular and not _off_walls(rs, shifted, p):
         raise DomainError(f"{what} {w} is singular at level {level}")
     return w
 
@@ -252,7 +258,7 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
         word.extend(wall_word if letter == rs.rank else (letter,))
     w = weyl.canonical_from_word(rs, word)
     g = AffineWeylElement(lam - weyl.apply(rs, w, rep, shifted=True), w)
-    return rep, g, is_regular(rs, rep, level)
+    return rep, g, _off_walls(rs, x, p)
 
 
 def linked(rs: RootSystem, lam, mu, level: Level) -> bool:

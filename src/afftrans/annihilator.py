@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import affine, translate
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen
+from .rootsys import RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen
 
 
 class SubmoduleLabels(_Frozen):
@@ -31,7 +31,7 @@ def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabe
         gens = frozenset(generators)
     except TypeError:
         raise DomainError(f"generators must be a collection of group elements, "
-                          f"got a {type(generators).__name__}") from None
+                          f"got {_a_or_an(type(generators).__name__)}") from None
     respelled = frozenset(affine._canonical_element(rs, g, "generator") for g in gens)
     if respelled != gens:  # else keep the caller's set: transport follows its order
         gens = respelled
@@ -39,7 +39,7 @@ def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabe
         if g.is_identity:
             raise DomainError("the identity labels the whole module, "
                               "not a proper submodule")
-        image = affine.affine_apply(rs, g, base, level)
+        image = affine._dot(rs, g, base, level)
         if not image.is_dominant:
             raise DomainError(f"generator {g} sends {base} to {image}, "
                               "outside the dominant cone")
@@ -90,6 +90,6 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
     for g in labels.generators:
-        translate.translate_weyl(rs, g, zero, lam, labels.level)
+        translate._translate(rs, g, zero, lam, labels.level)
     return SubmoduleLabels(base=lam, level=labels.level,
                            generators=labels.generators)

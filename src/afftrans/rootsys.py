@@ -32,17 +32,22 @@ def _exact(value) -> int | Fraction:
     except (TypeError, ValueError, OverflowError):
         f = None
     if f is None:
-        raise DomainError(f"coordinate {value!r} is a {type(value).__name__}, not a number")
+        raise DomainError(f"coordinate {value!r} is {_a_or_an(type(value).__name__)}, not a number")
     return int(f) if f.denominator == 1 else f
+
+
+def _a_or_an(name: str) -> str:
+    """``name`` after its indefinite article: ``an int``, ``a Level``."""
+    return f"{'an' if name[0] in 'AEIOUaeiou' else 'a'} {name}"
 
 
 class Weight(tuple):
     """A weight vector in fundamental-weight coordinates with exact entries.
 
-    Supports vector addition/subtraction, negation and scalar multiplication
-    by integers or Fractions.  Instances are immutable and hashable, and
-    compare/sort lexicographically like plain tuples.  A float coordinate is
-    an ``InexactCoordinateError``, any other non-number a ``DomainError``.
+    Supports addition/subtraction (a ``DomainError`` names both operands when the
+    other is no weight of this length), negation and scalar multiplication by ints
+    or Fractions; immutable, hashable, compared and sorted like tuples.  A float
+    coordinate is an ``InexactCoordinateError``, any other non-number a ``DomainError``.
     """
 
     __slots__ = ()
@@ -63,10 +68,16 @@ class Weight(tuple):
         return cls((0,) * rank)
 
     def __add__(self, other):
-        return Weight(a + b for a, b in zip(self, other, strict=True))
+        try:
+            return Weight(a + b for a, b in zip(self, other, strict=True))
+        except (TypeError, ValueError, DomainError):
+            raise DomainError(f"cannot compute weight {self} + {other!r}") from None
 
     def __sub__(self, other):
-        return Weight(a - b for a, b in zip(self, other, strict=True))
+        try:
+            return Weight(a - b for a, b in zip(self, other, strict=True))
+        except (TypeError, ValueError, DomainError):
+            raise DomainError(f"cannot compute weight {self} - {other!r}") from None
 
     def __neg__(self):
         return Weight(-a for a in self)
@@ -79,7 +90,7 @@ class Weight(tuple):
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self)
+        return _INT_ONLY.issuperset(map(type, self))
 
     @property
     def is_dominant(self) -> bool:
@@ -428,8 +439,8 @@ def _as_instance(value, cls: type, what: str):
     """``value`` once it is a ``cls``: the one type check of the group elements,
     levels and records the public API takes; a ``DomainError`` names ``what``."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise DomainError(f"{what} is a {type(value).__name__}, not {article} {cls.__name__}")
+        found, wanted = _a_or_an(type(value).__name__), _a_or_an(cls.__name__)
+        raise DomainError(f"{what} is {found}, not {wanted}")
     return value
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, _Record, root_coords
+from .rootsys import (RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen, _Record,
+                      root_coords)
 
 
 class TranslationDatum(_Frozen):
@@ -71,8 +72,7 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
     # Validate and look up the target once, not once per key as ``linked`` would.
-    tgt = _as_alcove_weight(rs, target, level, "target")
-    p = level.p
+    tgt, p = _as_alcove_weight(rs, target, level, "target"), level.p
     rep = affine._alcove_rep_coords(rs, tuple(tgt), p)
     return {nu: m for nu, m in parts.items()
             if affine._alcove_rep_coords(
@@ -85,26 +85,29 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
 
     Returns ``g . lam`` only after re-deriving it: the projection of the
     tensor filtration onto the target class must contain exactly that label,
-    with multiplicity one.
+    with multiplicity one.  Each argument is checked once: ``mu``, ``lam``,
+    then ``g`` (lattice, then letters), then the dominance of ``g . mu``.
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
-    start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
-    expected = affine.affine_apply(rs, g, lam, level)
-    tau = translation_weight(rs, lam, mu)
-    parts = kl_weyl_filtration(rs, tau, start, cap=cap)
-    return _sole_survivor(rs, parts, start, lam, level, expected, "translation")
+    return _translate(rs, g, mu, lam, level, cap)
 
 
-def _sole_survivor(rs: RootSystem, parts: dict, start: Weight, lam: Weight,
-                   level: Level, expected: Weight, what: str) -> Weight:
-    """``expected``, once it is the only term of ``parts`` linked to ``lam``
-    and has multiplicity one."""
+def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
+               cap: int = finchar.DEFAULT_CAP, verma: bool = False) -> Weight:
+    """:func:`translate_weyl` (:func:`translate_verma` when ``verma``) for checked ``mu``, ``lam``:
+    ``g . lam``, once ``{g . lam: 1}`` is all of the filtration linked to ``lam``."""
+    start = affine._dot(rs, g, mu, level)
+    if not (verma or start.is_dominant):
+        raise DomainError(f"g.mu {start} is not dominant integral")
+    expected = affine._dot(rs, g, lam)
+    tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
+    parts = (verma_filtration if verma else kl_weyl_filtration)(rs, tau, start, cap=cap)
     survivors = project_linkage(rs, parts, lam, level)
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
-            f"{what} of {start} to the class of {lam} has survivors "
-            f"{{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
+            f"{'Verma translation' if verma else 'translation'} of {start} to the class of {lam} "
+            f"has survivors {{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
             f"expected {{{expected}:1}}")
     return expected
 
@@ -127,12 +130,12 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     weyl._check_order(rs, 10 ** 6)
     g = affine._canonical_element(rs, g)  # compared with canonical elements below
-    start = _as_weight(rs, affine.affine_apply(rs, g, mu, level), "g.mu", dominant=True)
+    start = _as_weight(rs, affine._dot(rs, g, mu, level), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
     if height > bound:
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
-    tau = translation_weight(rs, lam, mu)
+    tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
     support = finchar.weight_multiplicities(rs, tau)
     p = level.p
 
@@ -188,7 +191,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
     base = _as_alcove_weight(rs, base, level, "base")
     if not hasattr(coeffs, "items"):
         raise DomainError(f"coefficients must map group elements to integers, "
-                          f"got a {type(coeffs).__name__}")
+                          f"got {_a_or_an(type(coeffs).__name__)}")
     cleaned = {}
     for g, c in coeffs.items():
         if type(c) is not int:  # bool is no coefficient
@@ -198,7 +201,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
         g = affine._canonical_element(rs, g, "key")
         if g in cleaned:
             raise DomainError(f"two keys spell the element {g}")
-        image = affine.affine_apply(rs, g, base, level)
+        image = affine._dot(rs, g, base, level)
         if not image.is_dominant:
             raise DomainError(f"key {g} sends {base} to {image}, "
                               "outside the dominant cone")
@@ -220,7 +223,7 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
     _as_instance(chi, LinkageCharacter, "chi")
     _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
     lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
-    kept = [g for g in chi.coeffs if affine.affine_apply(rs, g, lam, chi.level).is_dominant]
+    kept = [g for g in chi.coeffs if affine._dot(rs, g, lam, chi.level).is_dominant]
     return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, kept)})
 
 
@@ -254,9 +257,4 @@ def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
-    start = affine.affine_apply(rs, g, mu, level)
-    expected = affine.affine_apply(rs, g, lam, level)
-    tau = translation_weight(rs, lam, mu)
-    parts = verma_filtration(rs, tau, start, cap=cap)
-    return _sole_survivor(rs, parts, start, lam, level, expected,
-                          "Verma translation")
+    return _translate(rs, g, mu, lam, level, cap, verma=True)

@@ -418,8 +418,9 @@ def test_level_contract_rows_are_valid_calls():
 @pytest.mark.parametrize("fn,valid", [pytest.param(fn, valid, id=fn.__name__)
                                       for fn, valid in LEVEL_CONTRACT])
 def test_non_level_is_domain_error_naming_the_argument(fn, valid):
-    for bad in (5, [5], "5/1", Fraction(5)):  # [5]: unhashable, before any cache
-        with pytest.raises(DomainError, match=f"^level is a {type(bad).__name__}, not a Level$"):
+    for bad, found in ((5, "an int"), ([5], "a list"),  # [5]: unhashable, before any cache
+                       ("5/1", "a str"), (Fraction(5), "a Fraction")):
+        with pytest.raises(DomainError, match=f"^level is {found}, not a Level$"):
             _spoiled(fn, valid, "level", bad)
 
 
@@ -441,15 +442,16 @@ LABELS = annihilator.make_labels(A2, ZERO, [], P5)
     (annihilator.transport, dict(labels=LABELS, lam=OK), "labels", "SubmoduleLabels"),
 ])
 def test_non_record_is_domain_error_naming_the_argument(fn, valid, param, cls):
-    for bad in ("x", 5, LABELS if param == "chi" else CHI):
-        with pytest.raises(DomainError, match=f"^{param} is a {type(bad).__name__}, not a {cls}$"):
+    other = (LABELS, "a SubmoduleLabels") if param == "chi" else (CHI, "a LinkageCharacter")
+    for bad, found in (("x", "a str"), (5, "an int"), other):
+        with pytest.raises(DomainError, match=f"^{param} is {found}, not a {cls}$"):
             _spoiled(fn, valid, param, bad)
 
 
 def test_record_holding_a_non_level_is_domain_error():
-    with pytest.raises(DomainError, match="^level is a int, not a Level$"):
+    with pytest.raises(DomainError, match="^level is an int, not a Level$"):
         translate.translate_character(A2, translate.LinkageCharacter(5, ZERO, {}), OK)
-    with pytest.raises(DomainError, match="^level is a int, not a Level$"):
+    with pytest.raises(DomainError, match="^level is an int, not a Level$"):
         annihilator.transport(A2, annihilator.SubmoduleLabels(ZERO, 5, frozenset()), OK)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,25 @@ def test_weight_arithmetic():
     assert 3 * a == Weight([3, -6])
     assert a * Fraction(1, 2) == Weight([Fraction(1, 2), -1])
     assert Weight.zero(3) == Weight([0, 0, 0])
+
+
+@pytest.mark.parametrize("op,other", [
+    ("+", [1]), ("-", [1]), ("+", [1, 2, 3]), ("-", 5), ("+", 5), ("+", None), ("-", None),
+    ("+", ["x", 0]), ("-", [1j, 0]), ("+", [0.5, 0]), ("-", [0.5, 0]),
+], ids=["add-short", "sub-short", "add-long", "sub-int", "add-int", "add-None", "sub-None",
+        "add-str-coordinate", "sub-complex-coordinate", "add-float", "sub-float"])
+def test_weight_arithmetic_with_a_non_weight_names_both_operands(op, other):
+    a = Weight([1, 0])
+    message = f"cannot compute weight [1,0] {op} {other!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        a + other if op == "+" else a - other
+
+
+def test_weight_arithmetic_keeps_exact_results():
+    half = Fraction(1, 2)
+    assert Weight([1, half]) + [half, 0] == Weight([Fraction(3, 2), half])
+    difference = Weight([1, half]) - [0, half]
+    assert difference == Weight([1, 0]) and type(difference[1]) is int
 
 
 def test_weight_exactness():

@@ -7,10 +7,18 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afftrans import affine, finchar, rootsys, translate, weyl
+import afftrans
+from afftrans import affine, annihilator, finchar, rootsys, translate, weyl
 from afftrans.affine import AffineWeylElement, Level
-from afftrans.errors import DatumInvalidError, DomainError, InternalInconsistencyError
+from afftrans.errors import (
+    DatumInvalidError,
+    DimensionCapError,
+    DomainError,
+    InternalInconsistencyError,
+)
 from afftrans.rootsys import Weight, root_system
 from afftrans.translate import LinkageCharacter
 from afftrans.weyl import IDENTITY, WeylElement
@@ -365,3 +373,178 @@ def test_translate_verma_below_the_chamber():
     assert affine.affine_apply(A1, g, Weight([0]), P5) == Weight([-12])
     assert translate.translate_verma(A1, g, Weight([0]), Weight([1]), P5) == \
         affine.affine_apply(A1, g, Weight([1]), P5)
+
+
+# ---------------------------------------------------------------------------
+# argument checks on the translation path: which of two bad arguments is
+# named, and how often each argument is checked
+
+B2 = root_system("B2")
+P6 = Level(6, 1)  # on B2: [0,0] and [1,0] are regular, [1,1] is singular
+REG, SING = Weight([1, 0]), Weight([1, 1])
+OFF_LATTICE = AffineWeylElement(Weight([1, 0]), IDENTITY)  # root coords (1, 1)
+BAD_LETTER = AffineWeylElement(Weight([0, 0]), WeylElement((7, 0)))  # s1 . [1,0] = [-3,4]
+SHORT_SHIFT = AffineWeylElement(Weight([0]), IDENTITY)
+HALF = Weight([Fraction(1, 2), 0])
+
+# (g, the weight that is also bad, where that weight goes)
+BAD_PAIRS = {
+    "non-element-g-singular-lam": ("x", SING, "lam"),
+    "off-lattice-g-wrong-rank-lam": (OFF_LATTICE, Weight([0]), "lam"),
+    "bad-letter-non-dominant-image": (BAD_LETTER, REG, "mu"),
+    "wrong-rank-translation-non-integral-mu": (SHORT_SHIFT, HALF, "mu"),
+}
+
+
+def _call(fn, g, wt, where):
+    lam, mu = (wt, REG) if where == "lam" else (REG, wt)
+    if fn == "affine_apply":
+        return affine.affine_apply(B2, g, wt, P6)
+    if fn == "translate_weyl":
+        return translate.translate_weyl(B2, g, mu, lam, P6)
+    if fn == "translate_verma":
+        return translate.translate_verma(B2, g, mu, lam, P6)
+    if fn == "verify_weight_geometry":
+        return translate.verify_weight_geometry(B2, lam, mu, g, P6, 60)
+    if fn == "translate_character":
+        return translate.translate_character(B2, LinkageCharacter(P6, REG, {g: 1}), wt)
+    if fn == "make_character":
+        return translate.make_character(B2, wt, {g: 1}, P6)
+    assert fn == "transport"
+    labels = annihilator.SubmoduleLabels(Weight.zero(2), P6, frozenset([g]))
+    return annihilator.transport(B2, labels, wt)
+
+
+PRECEDENCE = [
+    ("affine_apply", "non-element-g-singular-lam", "g is a str, not an AffineWeylElement"),
+    ("affine_apply", "off-lattice-g-wrong-rank-lam", "translation [1,0] is not in 6Q (root coords (1, 1))"),
+    ("affine_apply", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("affine_apply", "wrong-rank-translation-non-integral-mu", "weight [0] has wrong rank for B2"),
+    ("translate_weyl", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
+    ("translate_weyl", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
+    ("translate_weyl", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("translate_weyl", "wrong-rank-translation-non-integral-mu", "mu [1/2,0] is not integral"),
+    ("translate_verma", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
+    ("translate_verma", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
+    ("translate_verma", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("translate_verma", "wrong-rank-translation-non-integral-mu", "mu [1/2,0] is not integral"),
+    ("verify_weight_geometry", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
+    ("verify_weight_geometry", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
+    ("verify_weight_geometry", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("verify_weight_geometry", "wrong-rank-translation-non-integral-mu", "mu [1/2,0] is not integral"),
+    ("translate_character", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
+    ("translate_character", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
+    ("translate_character", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("translate_character", "wrong-rank-translation-non-integral-mu", "lam [1/2,0] is not integral"),
+    ("make_character", "non-element-g-singular-lam", "key is a str, not an AffineWeylElement"),
+    ("make_character", "off-lattice-g-wrong-rank-lam", "base [0] has wrong rank for B2"),
+    ("make_character", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("make_character", "wrong-rank-translation-non-integral-mu", "base [1/2,0] is not integral"),
+    ("transport", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
+    ("transport", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
+    ("transport", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
+    ("transport", "wrong-rank-translation-non-integral-mu", "lam [1/2,0] is not integral"),
+]
+
+
+@pytest.mark.parametrize("fn,case,message", [
+    pytest.param(fn, case, message, id=f"{fn}-{case}") for fn, case, message in PRECEDENCE])
+def test_two_bad_arguments_name_the_first_checked(fn, case, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _call(fn, *BAD_PAIRS[case])
+
+
+def test_precedence_table_covers_every_case_of_every_function():
+    fns = {fn for fn, _, _ in PRECEDENCE}
+    assert {(fn, case) for fn, case, _ in PRECEDENCE} == {
+        (fn, case) for fn in fns for case in BAD_PAIRS}
+    assert len(fns) == 7
+
+
+def _record_calls(monkeypatch, name, calls):
+    """Append ``(name, args)`` to ``calls`` on every call of the public function
+    ``name``, whichever afftrans module makes it."""
+    original = getattr(afftrans, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    for module in (rootsys, weyl, affine, finchar, translate, annihilator):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorded)
+
+
+def test_translate_weyl_checks_each_argument_once(monkeypatch):
+    g = affine.theta_wall_reflection(A2, P5)  # translation [5,5]; sends 0 to [3,3]
+    calls = []
+    for name in ("root_coords", "in_fundamental_alcove", "is_regular", "affine_apply"):
+        _record_calls(monkeypatch, name, calls)
+    assert translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
+    assert [args for name, args in calls if name != "root_coords"] == []
+    solves = [args[1] for _, args in calls]
+    assert [wt for wt in solves if wt == g.translation] == [g.translation]
+
+
+# ---------------------------------------------------------------------------
+# the dot action against its formula, on every translation path
+
+DOT_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
+
+
+@st.composite
+def _affine_elements(draw, rs, level, roots):
+    """An element with translation p * (a sum of ``roots``), canonical or with
+    a non-canonical word (a random word, or ``s_i s_i`` spliced into one)."""
+    coeffs = draw(st.lists(st.integers(-1, 1), min_size=len(roots), max_size=len(roots)))
+    beta = sum((level.p * c * alpha for c, alpha in zip(coeffs, roots)), Weight.zero(rs.rank))
+    word = tuple(draw(st.lists(st.integers(0, rs.rank - 1), max_size=6)))
+    if draw(st.booleans()):
+        word = weyl.canonical_from_word(rs, word).word
+    return AffineWeylElement(beta, WeylElement(word))
+
+
+def _respell(draw, rs, g):
+    """``g`` with ``s_i s_i`` spliced into its word at a drawn place."""
+    word, i = g.finite.word, draw(st.integers(0, rs.rank - 1))
+    at = draw(st.integers(0, len(word)))
+    return AffineWeylElement(g.translation, WeylElement(word[:at] + (i, i) + word[at:]))
+
+
+def _dot_formula(rs, g, lam):
+    return weyl.apply(rs, g.finite, lam, shifted=True) + g.translation
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_affine_apply_is_the_dot_formula(data):
+    rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6)), 1)
+    g = data.draw(_affine_elements(rs, level, rs.simple_roots))
+    lam = Weight(data.draw(st.lists(st.integers(-4, 6), min_size=rs.rank, max_size=rs.rank)))
+    assert affine.affine_apply(rs, g, lam, level) == _dot_formula(rs, g, lam)
+    assert affine.affine_apply(rs, _respell(data.draw, rs, g), lam, level) == \
+        _dot_formula(rs, g, lam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_translate_weyl_lands_on_the_dot_image(data):
+    rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 2, rs.dual_coxeter + 5)), 1)
+    regular = annihilator.admissible_list(rs, level)
+    mu, lam = data.draw(st.sampled_from(regular)), data.draw(st.sampled_from(regular))
+    # translations by p times the long roots: the group the alcove walk generates
+    long_roots = [a for a in rs.positive_roots if rootsys.bilinear(rs, a, a) == 2]
+    g = data.draw(_affine_elements(rs, level, long_roots))
+    # move g . mu into the dominant chamber with a finite w, so that w g . mu
+    # is dominant (mu is regular, so g . mu + rho is off every wall)
+    _, w, _ = weyl.dominant_rep(rs, _dot_formula(rs, g, mu), shifted=True)
+    g = affine.compose_affine(rs, affine.finite_element(rs, w), g)
+    if data.draw(st.booleans()):
+        g = _respell(data.draw, rs, g)
+    try:
+        got = translate.translate_weyl(rs, g, mu, lam, level)
+    except DimensionCapError:
+        return
+    assert got == affine.affine_apply(rs, g, lam, level) == _dot_formula(rs, g, lam)
