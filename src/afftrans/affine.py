@@ -103,7 +103,7 @@ def _canonical_element(rs: RootSystem, g, what: str = "g") -> AffineWeylElement:
 
 
 def identity_element(rank: int) -> AffineWeylElement:
-    return AffineWeylElement(Weight.zero(rank), IDENTITY)
+    return AffineWeylElement(Weight.zero(_as_instance(rank, int, "rank")), IDENTITY)
 
 
 def finite_element(rs: RootSystem, w: WeylElement) -> AffineWeylElement:
@@ -129,7 +129,7 @@ def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
 
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
     """Root-basis coordinates of the translation part; must lie in p Q."""
-    rc = root_coords(rs, _as_affine_element(g).translation)
+    rc = root_coords(rs, _as_weight(rs, _as_affine_element(g).translation, "translation of g"))
     p = _as_level(level).p
     if not all(isinstance(c, int) and c % p == 0 for c in rc):
         raise DomainError(f"translation {g.translation} is not in {p}Q (root coords {rc})")

@@ -9,7 +9,7 @@ filtration check.
 
 from __future__ import annotations
 
-from . import affine, translate
+from . import affine
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
 from .rootsys import RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen
@@ -82,6 +82,12 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     generator set itself is carried over unchanged, so inclusions of label
     sets are preserved verbatim.
     """
+    return _transport(rs, labels, lam)[0]
+
+
+def _transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> tuple[SubmoduleLabels, dict]:
+    """:func:`transport` and the image ``g . lam`` of every generator ``g``."""
+    from . import translate  # with finchar: loaded for transport alone
     zero = Weight.zero(rs.rank)
     if _as_instance(labels, SubmoduleLabels, "labels").base != zero:
         raise DomainError(f"transport starts from base 0, not {labels.base}")
@@ -89,7 +95,6 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.
     _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
-    for g in labels.generators:
-        translate._translate(rs, g, zero, lam, labels.level)
-    return SubmoduleLabels(base=lam, level=labels.level,
-                           generators=labels.generators)
+    images = {g: translate._translate(rs, g, zero, lam, labels.level)
+              for g in labels.generators}
+    return SubmoduleLabels(base=lam, level=labels.level, generators=labels.generators), images

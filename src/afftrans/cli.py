@@ -12,6 +12,10 @@ stderr), 2 usage error.  The dimension guard for tensor computations is, in
 order of precedence: ``--cap``, the ``AFFTRANS_CAP`` environment variable,
 then the library default.  ``tensor --oracle`` answers through the independent
 Weyl-character read-off; the package imports only the standard library.
+
+Only ``rootsys`` and ``errors`` load with this module.  Each command handler
+imports the layers it uses, so a one-shot call such as ``info A2`` never
+loads the character, translation or alcove layers.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import affine, annihilator, finchar, translate, weyl
-from .affine import AffineWeylElement, Level
-from .errors import AfftransError, DatumInvalidError, DomainError, InvalidRootSystemError
+from .errors import AfftransError, DatumInvalidError, DomainError
 from .rootsys import RootSystem, RootSystemSpec, Weight, build_root_system, root_coords
 
 
@@ -72,6 +74,7 @@ def _resolve_level(args, rs: RootSystem):
         raise UsageError(f"malformed level {raw!r}") from None
     if raw_k is not None:
         value += rs.dual_coxeter
+    from .affine import Level
     return Level.from_shifted(value)
 
 
@@ -91,14 +94,16 @@ def _resolve_cap(args) -> int:
             return int(env)
         except ValueError:
             raise UsageError(f"malformed AFFTRANS_CAP value {env!r}") from None
-    return finchar.DEFAULT_CAP
+    from .finchar import DEFAULT_CAP
+    return DEFAULT_CAP
 
 
 _TRANS_RE = re.compile(r"^t\[([^\]]*)\]$")
 _WORD_RE = re.compile(r"^(?:s[1-9][0-9]*)+$")
 
 
-def _parse_element(rs: RootSystem, level, text: str) -> AffineWeylElement:
+def _parse_element(rs: RootSystem, level, text: str):
+    from . import affine, weyl
     t = text.strip()
     if not t:
         raise UsageError("empty group element")
@@ -136,7 +141,7 @@ def _parse_element(rs: RootSystem, level, text: str) -> AffineWeylElement:
             raise UsageError(
                 f"element {text!r} uses a generator outside s1..s{rs.rank}")
         word = weyl.canonical_from_word(rs, letters)
-    return AffineWeylElement(trans, word)
+    return affine.AffineWeylElement(trans, word)
 
 
 def _split_terms(text: str):
@@ -180,7 +185,7 @@ def _parse_char_terms(rs: RootSystem, level, text: str) -> dict:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def _element_text(rs: RootSystem, g: AffineWeylElement) -> str:
+def _element_text(rs: RootSystem, g) -> str:
     if g.is_identity:
         return "e"
     parts = []
@@ -195,20 +200,21 @@ def _element_text(rs: RootSystem, g: AffineWeylElement) -> str:
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Weight):
-        return str(v)
-    if isinstance(v, (int, Fraction, Level)):
-        return str(v)
     if isinstance(v, str):
         if " " in v or not v:
             import json  # only quoted values and json-lines need it
             return json.dumps(v)
         return v
+    if isinstance(v, (Weight, int, Fraction)):
+        return str(v)
+    from .affine import Level  # already loaded wherever a Level is printed
+    if isinstance(v, Level):
+        return str(v)
     raise TypeError(f"unformattable value {v!r}")
 
 
 def _json_value(v):
-    return str(v) if isinstance(v, (Weight, Fraction, Level)) else v
+    return v if isinstance(v, (int, str)) else _fmt_value(v)
 
 
 def _emit(rows, mode: str) -> int:
@@ -230,6 +236,7 @@ def _cmd_info(args, rs: RootSystem, level) -> int:
            ("positive_roots", len(rs.positive_roots)),
            ("dual_coxeter", rs.dual_coxeter), ("theta", rs.theta)]
     if level is not None:
+        from . import affine
         row += [("level", level), ("k", level.k(rs)),
                 ("alcove_weights", len(affine.enumerate_dominant(rs, level)))]
     return _emit([row], args.format)
@@ -237,8 +244,10 @@ def _cmd_info(args, rs: RootSystem, level) -> int:
 
 def _cmd_orbit(args, rs: RootSystem, level) -> int:
     if level is None:
+        from . import weyl
         rows = [[("weight", w)] for w in sorted(weyl.orbit(rs, args.weight))]
     else:
+        from . import affine
         if args.bound is None:
             raise UsageError("orbit enumeration at a level requires --bound")
         pairs = affine.dominant_orbit(rs, args.weight, level, args.bound)
@@ -248,17 +257,20 @@ def _cmd_orbit(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_alcove(args, rs: RootSystem, level) -> int:
+    from . import affine
     rep, g, regular = affine.alcove_rep(rs, args.weight, level)
     row = [("rep", rep), ("g", _element_text(rs, g)), ("regular", regular)]
     return _emit([row], args.format)
 
 
 def _cmd_dominant(args, rs: RootSystem, level) -> int:
+    from . import affine
     rows = [[("weight", w)] for w in affine.enumerate_dominant(rs, level)]
     return _emit(rows, args.format)
 
 
 def _cmd_tensor(args, rs: RootSystem, level) -> int:
+    from . import finchar
     cap = _resolve_cap(args)
     op = finchar.tensor_oracle if args.oracle else finchar.tensor_decompose
     parts = op(rs, args.lam, args.mu, cap=cap)
@@ -267,6 +279,7 @@ def _cmd_tensor(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_filtration(args, rs: RootSystem, level) -> int:
+    from . import translate
     cap = _resolve_cap(args)
     op = translate.verma_filtration if args.verma else translate.kl_weyl_filtration
     parts = op(rs, args.lam, args.mu, cap=cap)
@@ -275,6 +288,7 @@ def _cmd_filtration(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_datum(args, rs: RootSystem, level) -> int:
+    from . import translate
     try:
         translate.check_datum(rs, args.lam_left, args.lam_right, args.lam, level)
     except DatumInvalidError as exc:
@@ -283,6 +297,7 @@ def _cmd_datum(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_translate_weyl(args, rs: RootSystem, level) -> int:
+    from . import translate
     cap = _resolve_cap(args)
     g = _parse_element(rs, level, args.element)
     op = translate.translate_verma if args.verma else translate.translate_weyl
@@ -291,6 +306,7 @@ def _cmd_translate_weyl(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_translate_char(args, rs: RootSystem, level) -> int:
+    from . import affine, translate
     coeffs = _parse_char_terms(rs, level, args.char)
     chi = translate.make_character(rs, args.src, coeffs, level)
     out = translate.translate_character(rs, chi, args.dst)
@@ -306,6 +322,7 @@ def _cmd_translate_char(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_verify_lemma(args, rs: RootSystem, level) -> int:
+    from . import translate
     g = _parse_element(rs, level, args.element)
     verdict = translate.verify_weight_geometry(
         rs, args.lam, args.mu, g, level, args.bound)
@@ -313,11 +330,13 @@ def _cmd_verify_lemma(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_admissible(args, rs: RootSystem, level) -> int:
+    from . import annihilator
     rows = [[("weight", w)] for w in annihilator.admissible_list(rs, level)]
     return _emit(rows, args.format)
 
 
 def _cmd_generator(args, rs: RootSystem, level) -> int:
+    from . import affine, annihilator
     g = annihilator.singular_generator_label(rs, level)
     image = affine.affine_apply(rs, g, Weight.zero(rs.rank), level)
     row = [("g", _element_text(rs, g)), ("weight", image)]
@@ -325,12 +344,13 @@ def _cmd_generator(args, rs: RootSystem, level) -> int:
 
 
 def _cmd_transport(args, rs: RootSystem, level) -> int:
+    from . import annihilator, translate
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
-    moved = annihilator.transport(rs, labels, args.to)
-    rows = [[("g", _element_text(rs, g)), ("image", affine.affine_apply(rs, g, args.to, level))]
-            for g in translate._in_order(rs, moved.generators)]
+    _, images = annihilator._transport(rs, labels, args.to)
+    rows = [[("g", _element_text(rs, g)), ("image", images[g])]
+            for g in translate._in_order(rs, images)]
     return _emit(rows, args.format)
 
 

@@ -71,6 +71,7 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
 
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
+    _as_instance(parts, dict, "parts")
     # Validate and look up the target once, not once per key as ``linked`` would.
     tgt, p = _as_alcove_weight(rs, target, level, "target"), level.p
     rep = affine._alcove_rep_coords(rs, tuple(tgt), p)

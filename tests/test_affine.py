@@ -590,3 +590,8 @@ def test_identity_element_properties():
     assert e.is_identity
     assert e.finite == IDENTITY
     assert not AffineWeylElement(Weight([0, 0]), WeylElement((0,))).is_identity
+
+
+def test_identity_element_of_a_non_rank_is_domain_error():
+    with pytest.raises(DomainError, match="^rank is a NoneType, not an int$"):
+        identity_element(None)

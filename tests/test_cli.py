@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from afftrans import cli, finchar
+from afftrans import affine, cli, finchar, translate
 
 GOLDEN = Path(__file__).parent / "golden"
+# the cases the benchmark's cli-oneshot workload runs, with their recorded output
+CLI_CASES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text())
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +52,13 @@ def test_golden_unknown_type(capsys):
     code, out, err = run(capsys, "dominant", "Z9", "--level", "5/1")
     assert code == 2 and out == ""
     assert err == (GOLDEN / "dominant_bad_type.txt").read_text()
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=f"{name}-{index}")
+    for name, cases in CLI_CASES.items() for index, case in enumerate(cases)])
+def test_benchmark_case_byte_for_byte(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +329,22 @@ def test_transport_command(capsys):
     code, out, _ = run(capsys, "transport", "A1", "--level", "5/1",
                        "--to", "[3]", "--generators", "")
     assert code == 0 and out == ""
+
+
+def test_transport_derives_each_image_once(capsys, monkeypatch):
+    calls = []
+    for module, name in ((translate, "_translate"), (affine, "affine_apply")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "transport", "A1", "--level", "5/1",
+                       "--to", "[2]", "--generators", "saff,t[5]")
+    assert code == 0 and out == "g=t[5] image=[12]\ng=t[5]*s1 image=[6]\n"
+    assert calls == ["_translate", "_translate"]
 
 
 def test_no_command_is_usage_error(capsys):

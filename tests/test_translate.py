@@ -102,6 +102,11 @@ def test_project_linkage_requires_interior_target():
         translate.project_linkage(A1, {}, Weight([4]), P5)  # on the wall
 
 
+def test_project_linkage_of_non_dict_parts_is_domain_error():
+    with pytest.raises(DomainError, match="^parts is a NoneType, not a dict$"):
+        translate.project_linkage(A2, None, Weight([0, 0]), P5)
+
+
 # ---------------------------------------------------------------------------
 # label translation
 
@@ -419,7 +424,7 @@ PRECEDENCE = [
     ("affine_apply", "non-element-g-singular-lam", "g is a str, not an AffineWeylElement"),
     ("affine_apply", "off-lattice-g-wrong-rank-lam", "translation [1,0] is not in 6Q (root coords (1, 1))"),
     ("affine_apply", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
-    ("affine_apply", "wrong-rank-translation-non-integral-mu", "weight [0] has wrong rank for B2"),
+    ("affine_apply", "wrong-rank-translation-non-integral-mu", "translation of g [0] has wrong rank for B2"),
     ("translate_weyl", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
     ("translate_weyl", "off-lattice-g-wrong-rank-lam", "lam [0] has wrong rank for B2"),
     ("translate_weyl", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
