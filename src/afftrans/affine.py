@@ -14,9 +14,8 @@ the wall ``(lam + rho, theta) = p``.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from . import weyl
 from .errors import DomainError, InexactCoordinateError, IterationLimitError
@@ -99,6 +98,7 @@ def _canonical_element(rs: RootSystem, g, what: str = "g") -> AffineWeylElement:
     """``g`` with its finite part respelled by the canonical word, so that two
     spellings of one element compare and hash equal."""
     g = _as_affine_element(g, what)
+    _as_weight(rs, g.translation, f"translation of {what}")
     return AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
 
 
@@ -123,8 +123,9 @@ def compose_affine(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -
 
 
 def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
-    winv = weyl.inverse(rs, _as_affine_element(g).finite)
-    return AffineWeylElement(-weyl.apply(rs, winv, g.translation), winv)
+    beta = _as_weight(rs, _as_affine_element(g).translation, "translation of g")
+    winv = weyl.inverse(rs, g.finite)
+    return AffineWeylElement(-weyl.apply(rs, winv, beta), winv)
 
 
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
@@ -272,17 +273,20 @@ def linked(rs: RootSystem, lam, mu, level: Level) -> bool:
 
 def _dominant_box(rs: RootSystem, height: int):
     """Dominant integral coordinate tuples lam with (lam + rho, theta) <=
-    height, in lexicographic order."""
+    height, in lexicographic order: one axis at a time, never past the room
+    left.  Every prefix extends to a weight, so each axis is counted before it
+    is built and refused there above the cap; the last axis is lazy."""
     marks = rs.coroot_rows[-1]  # dual marks <omega_i, theta^vee>, all >= 1
-    room = height - sum(marks)  # (rho, theta) is the sum of the dual marks
-    sizes = [max(room // m, -1) + 1 for m in marks]
-    cells = prod(sizes)
-    if cells > _DOMINANT_BOX_CAP:
-        raise DomainError(f"dominant box of height {height} has {cells} "
-                          f"cells, above the cap of {_DOMINANT_BOX_CAP}")
-    for coords in itertools.product(*map(range, sizes)):
-        if _theta_height(rs, coords) <= room:
-            yield coords
+    prefixes = [((), height - sum(marks))]  # (coords, room left); (rho, theta) = sum(marks)
+    for axis, mark in enumerate(marks, 1):
+        count = sum(left // mark + 1 for _, left in prefixes)
+        if count > _DOMINANT_BOX_CAP:
+            raise DomainError(f"dominant weights up to height {height} number at least "
+                              f"{count}, above the cap of {_DOMINANT_BOX_CAP}")
+        cells = ((coords + (c,), left - c * mark)
+                 for coords, left in prefixes for c in range(left // mark + 1))
+        prefixes = list(cells) if axis < len(marks) else cells
+    return (coords for coords, _ in prefixes)
 
 
 def enumerate_dominant(rs: RootSystem, level: Level) -> tuple[Weight, ...]:
@@ -308,9 +312,8 @@ def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
     if bound is None:
         bound = _theta_height(rs, [c + 1 for c in lam]) + 4 * p
     out = []
-    lam_t = tuple(lam)
     for coords in _dominant_box(rs, bound):
-        if _alcove_rep_coords(rs, coords, p) == lam_t:
+        if _alcove_rep_coords(rs, coords, p) == lam:
             nu = Weight(coords)
             _, g, _ = alcove_rep(rs, nu, level)
             out.append((g, nu))

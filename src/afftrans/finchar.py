@@ -13,7 +13,6 @@ the standard library is used.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from functools import lru_cache
 from math import prod
@@ -52,38 +51,31 @@ def dimension(rs: RootSystem, lam) -> int:
 
 @lru_cache(maxsize=None)
 def _root_data(rs: RootSystem):
-    """Per positive root: (fundamental coords, coroot row, scaled (alpha,alpha)/2).
-
-    The last entry is ``rs.form_den * (alpha, alpha) / 2``, always an
-    integer; using it keeps the Freudenthal recursion in pure integers.
-    """
+    """Per positive root: (fundamental coords, coroot row, ``rs.form_den *
+    (alpha, alpha) / 2``, root coords).  The third entry is always an integer;
+    using it keeps the Freudenthal recursion in pure integers."""
     out = []
     for alpha, row in zip(rs.positive_roots, rs.coroot_rows):
         half, odd = divmod(_form_numerator(rs, alpha, alpha), 2)
         assert not odd
-        out.append((alpha, row, half))
+        out.append((alpha, row, half, root_coords(rs, alpha)))
     return tuple(out)
 
 
 def _dominant_below(rs: RootSystem, lam: Weight):
-    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum.
-
-    ``drop`` is the simple-root coordinate vector of lam - nu.  Every such nu
-    is in fact a weight of the module with highest weight lam.
-    """
-    n = rs.rank
-    cartan = rs.cartan
-    # The inverse Cartan matrix has positive entries, so drops are bounded
-    # componentwise by the root coordinates of lam itself.
-    tops = [int(c) for c in root_coords(rs, lam)]
-    cells = []
-    for drop in itertools.product(*(range(t + 1) for t in tops)):
-        nu = tuple(lam[r] - sum(cartan[r][i] * drop[i] for i in range(n))
-                   for r in range(n))
-        if all(c >= 0 for c in nu):
-            cells.append((drop, Weight(nu)))
-    cells.sort(key=lambda cell: (sum(cell[0]), cell[0]))
-    return cells
+    """All (drop, nu) with nu dominant and lam - nu a nonnegative root sum,
+    sorted by (height, drop); ``drop`` is the simple-root coordinates of
+    lam - nu.  Every such nu is a weight of the module with highest weight lam.
+    Breadth-first from lam down the positive roots, through dominant points
+    only: by Stembridge ("The partial order of dominant weights", Adv. Math.
+    136, 1998) every dominant nu < lam lies below a dominant lam - alpha."""
+    cells = level = {(0,) * rs.rank: lam}
+    while level:
+        level = {tuple(map(add, drop, rc)): nu - alpha for drop, nu in level.items()
+                 for alpha, _, _, rc in _root_data(rs) if all(map(le, alpha, nu))}
+        level = {drop: nu for drop, nu in level.items() if drop not in cells}
+        cells.update(level)
+    return sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +97,7 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
             table[nu] = 1  # the highest weight itself
             continue
         total = 0
-        for memo, (alpha, row, half) in zip(suffix, roots):
+        for memo, (alpha, row, half, _) in zip(suffix, roots):
             x = tuple(nu)
             pair = sum(r * c for r, c in zip(row, nu))
             chain = []
@@ -233,17 +225,21 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     as wide as the product of the two characters' masses needs).  The
     product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho -
     w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
+    Besides the dimension product, ``cap`` bounds the cells of the product
+    box, which is refused before it is allocated.
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
+    strides, cells_in_box, plan = _product_plan(rs, lam + mu)
+    if cells_in_box > cap:
+        raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
     grids = (_char_grid(rs, lam), _char_grid(rs, mu))
     # No product cell exceeds the product of the two characters' masses.
     largest = prod(sum(m for _, m in cells) for cells in grids)
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
-    strides, cells_in_box, plan = _product_plan(rs, lam + mu)
     size = cells_in_box * calcsize(limb)
     product = 1
     for cells in grids:

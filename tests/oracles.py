@@ -5,7 +5,9 @@ realised as integer matrices generated from a private copy of the Cartan
 tables, linear algebra is Gaussian elimination over ``Fraction``, and weight
 multiplicities come from dividing the alternating orbit sum of ``lam + rho``
 by the Weyl denominator -- a different algorithm on different data
-structures, so agreement with the library is a real check.
+structures, so agreement with the library is a real check.  The two dense
+box filters at the end are the references for the library's walks over
+dominant weights.
 """
 
 from __future__ import annotations
@@ -205,3 +207,30 @@ def character_oracle(cartan, lam) -> dict:
 
 def dimension_oracle(cartan, lam) -> int:
     return sum(character_oracle(cartan, lam).values())
+
+
+def dominant_below_box(cartan, lam):
+    """Reference for the dominant weights below ``lam``: every drop vector up
+    to the root coordinates of ``lam`` (the inverse Cartan matrix is
+    positive, so these bound the drops of dominant weights), kept when its
+    weight is dominant.  Returns (drop, nu) pairs sorted by (height, drop)."""
+    n = len(cartan)
+    tops = [int(c) for c in root_coordinates(cartan, lam)]
+    cells = []
+    for drop in itertools.product(*(range(t + 1) for t in tops)):
+        nu = tuple(lam[r] - sum(cartan[r][i] * drop[i] for i in range(n))
+                   for r in range(n))
+        if all(c >= 0 for c in nu):
+            cells.append((drop, nu))
+    cells.sort(key=lambda cell: (sum(cell[0]), cell[0]))
+    return cells
+
+
+def dominant_box(marks, height):
+    """Reference for the dominant weights of bounded height: the tuples c >= 0
+    with sum(a_i * (c_i + 1)) <= height over the dual marks a_i, found by
+    filtering the box of all c_i <= room // a_i.  Lexicographic order."""
+    room = height - sum(marks)
+    sizes = [max(room // m, -1) + 1 for m in marks]
+    return [coords for coords in itertools.product(*map(range, sizes))
+            if sum(m * c for m, c in zip(marks, coords)) <= room]

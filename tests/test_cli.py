@@ -133,7 +133,7 @@ def test_domain_error_is_exit_one(capsys):
 def test_huge_level_or_bound_is_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error: dominant box of height ") and err.count("\n") == 1
+    assert err.startswith("error: dominant weights up to height ") and err.count("\n") == 1
 
 
 def test_missing_level_is_usage_error(capsys):

@@ -272,6 +272,14 @@ def test_oracle_dimension_guard():
         finchar.tensor_oracle(A2, Weight([5, 5]), Weight([5, 5]), cap=10 ** 3)
 
 
+def test_oracle_refuses_a_product_box_above_the_cap():
+    # dimension product 248, but the box of drops under W.theta has 14.2M cells
+    e8 = root_system("E8")
+    with pytest.raises(DimensionCapError,
+                       match=r"^product box of 14189175 cells exceeds cap 1000000$"):
+        finchar.tensor_oracle(e8, e8.theta, Weight.zero(8))
+
+
 # ---------------------------------------------------------------------------
 # duality invariants
 

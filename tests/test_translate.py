@@ -459,6 +459,23 @@ def test_two_bad_arguments_name_the_first_checked(fn, case, message):
         _call(fn, *BAD_PAIRS[case])
 
 
+# Off the translation path: a wrong-rank translation is named before the
+# element is used (the identity check of make_labels would read it first).
+WRONG_RANK_ELEMENT = [
+    ("inverse_affine", lambda: affine.inverse_affine(B2, SHORT_SHIFT),
+     "translation of g [0] has wrong rank for B2"),
+    ("make_labels", lambda: annihilator.make_labels(B2, [0, 0], [SHORT_SHIFT], P6),
+     "translation of generator [0] has wrong rank for B2"),
+]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(call, message, id=fn) for fn, call, message in WRONG_RANK_ELEMENT])
+def test_wrong_rank_translation_is_named(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_precedence_table_covers_every_case_of_every_function():
     fns = {fn for fn, _, _ in PRECEDENCE}
     assert {(fn, case) for fn, case, _ in PRECEDENCE} == {
