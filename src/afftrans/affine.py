@@ -86,28 +86,37 @@ _set_translation = AffineWeylElement.translation.__set__  # past __setattr__
 _set_finite = AffineWeylElement.finite.__set__
 
 
-def _as_affine_element(g, what: str = "g") -> AffineWeylElement:
-    """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite
-    part: the one affine group-element check of the public API."""
+def _as_group_element(rs: RootSystem, g, level: Level | None = None,
+                      what: str = "g") -> AffineWeylElement:
+    """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite part and a
+    translation of the right rank, in ``pQ`` when ``level`` is given: the one group-element
+    check of the public API.  Word letters are checked where the word is applied or respelled."""
     g = _as_instance(g, AffineWeylElement, what)
     _as_instance(g.finite, WeylElement, f"finite part of {what}")
+    beta = _as_weight(rs, g.translation, f"translation of {what}")
+    if level is not None:
+        p = _as_level(level).p
+        if any(_residue(rs, beta, p)):
+            raise DomainError(f"translation {beta} is not in {p}Q "
+                              f"(root coords {root_coords(rs, beta)})")
     return g
 
 
-def _canonical_element(rs: RootSystem, g, what: str = "g") -> AffineWeylElement:
-    """``g`` with its finite part respelled by the canonical word, so that two
-    spellings of one element compare and hash equal."""
-    g = _as_affine_element(g, what)
-    _as_weight(rs, g.translation, f"translation of {what}")
-    return AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+def _residue(rs: RootSystem, wt: Weight, p: int) -> tuple:
+    """Root coordinates of ``wt`` mod ``p``: two weights differ by an element
+    of ``pQ`` iff their residues agree, and ``wt`` is in ``pQ`` iff all are 0."""
+    return tuple(c % p for c in root_coords(rs, wt))
 
 
 def identity_element(rank: int) -> AffineWeylElement:
-    return AffineWeylElement(Weight.zero(_as_instance(rank, int, "rank")), IDENTITY)
+    if _as_instance(rank, int, "rank") <= 0:
+        raise DomainError(f"rank {rank} is not positive")
+    return AffineWeylElement(Weight.zero(rank), IDENTITY)
 
 
 def finite_element(rs: RootSystem, w: WeylElement) -> AffineWeylElement:
-    return AffineWeylElement(Weight.zero(rs.rank), _as_instance(w, WeylElement, "w"))
+    weyl._apply_word(rs, _as_instance(w, WeylElement, "w").word, rs.rho)  # checks the letters
+    return AffineWeylElement(Weight.zero(rs.rank), w)
 
 
 def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
@@ -116,38 +125,30 @@ def translation_element(rs: RootSystem, beta) -> AffineWeylElement:
 
 def compose_affine(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
     """(t_beta, w)(t_gamma, v) = (t_{beta + w(gamma)}, w v)."""
-    g, h = _as_affine_element(g), _as_affine_element(h, "h")
-    beta = _as_weight(rs, g.translation, "translation")
+    g, h = _as_group_element(rs, g), _as_group_element(rs, h, what="h")
     moved = weyl.apply(rs, g.finite, h.translation)
-    return AffineWeylElement(beta + moved, weyl.compose(rs, g.finite, h.finite))
+    return AffineWeylElement(moved + g.translation, weyl.compose(rs, g.finite, h.finite))
 
 
 def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
-    beta = _as_weight(rs, _as_affine_element(g).translation, "translation of g")
+    g = _as_group_element(rs, g)
     winv = weyl.inverse(rs, g.finite)
-    return AffineWeylElement(-weyl.apply(rs, winv, beta), winv)
+    return AffineWeylElement(-weyl.apply(rs, winv, g.translation), winv)
 
 
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
     """Root-basis coordinates of the translation part; must lie in p Q."""
-    rc = root_coords(rs, _as_weight(rs, _as_affine_element(g).translation, "translation of g"))
-    p = _as_level(level).p
-    if not all(isinstance(c, int) and c % p == 0 for c in rc):
-        raise DomainError(f"translation {g.translation} is not in {p}Q (root coords {rc})")
-    return rc
+    return root_coords(rs, _as_group_element(rs, g, level).translation)
 
 
 def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Weight:
-    """Dot action (t_beta, w) . lam = w . lam + beta; checks g's lattice, lam, g's letters."""
-    translation_lattice_coords(rs, g, level)
+    """Dot action (t_beta, w) . lam = w . lam + beta; checks g, lam, then g's letters."""
+    g = _as_group_element(rs, g, level)
     return _dot(rs, g, _as_weight(rs, lam))
 
 
-def _dot(rs: RootSystem, g, lam: Weight, level: Level | None = None) -> Weight:
-    """``g . lam`` for a checked ``lam``; ``g`` passes the lattice check here when
-    ``level`` is given.  Only the word's letters are checked, as they are applied."""
-    if level is not None:
-        translation_lattice_coords(rs, g, level)
+def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
+    """``g . lam`` for a checked ``g`` and ``lam``; letters are checked as they are applied."""
     x = weyl._apply_word(rs, g.finite.word, [c + 1 for c in lam])
     return Weight(c - 1 + t for c, t in zip(x, g.translation))
 
@@ -312,7 +313,7 @@ def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
     if bound is None:
         bound = _theta_height(rs, [c + 1 for c in lam]) + 4 * p
     out = []
-    for coords in _dominant_box(rs, bound):
+    for coords in _dominant_box(rs, _as_instance(bound, int, "bound")):
         if _alcove_rep_coords(rs, coords, p) == lam:
             nu = Weight(coords)
             _, g, _ = alcove_rep(rs, nu, level)

@@ -21,7 +21,7 @@ from struct import calcsize
 
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_weight, _form_numerator, root_coords
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _form_numerator, root_coords
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
@@ -29,7 +29,7 @@ DEFAULT_CAP = 10**6
 
 def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
     product = _dim(rs, lam) * _dim(rs, mu)
-    if product > cap:
+    if product > _as_instance(cap, int, "cap"):
         raise DimensionCapError(
             f"dimension product {product} exceeds cap {cap}")
 
@@ -140,7 +140,7 @@ def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dic
     Returns {weight: multiplicity} over the full (Weyl-symmetric) support.
     """
     lam = _as_weight(rs, lam, dominant=True)
-    if _dim(rs, lam) > cap:
+    if _dim(rs, lam) > _as_instance(cap, int, "cap"):
         raise DimensionCapError(f"dimension {_dim(rs, lam)} exceeds cap {cap}")
     return dict(_char_items(rs, lam))
 

@@ -436,9 +436,10 @@ def _as_weight(rs: RootSystem, wt, what: str = "weight", *,
 
 
 def _as_instance(value, cls: type, what: str):
-    """``value`` once it is a ``cls``: the one type check of the group elements,
-    levels and records the public API takes; a ``DomainError`` names ``what``."""
-    if not isinstance(value, cls):
+    """``value`` once it is a ``cls``, an ``int`` exactly (``bool`` is no count):
+    the one type check of the group elements, levels, records and integer
+    arguments the public API takes; a ``DomainError`` names ``what``."""
+    if not (type(value) is int if cls is int else isinstance(value, cls)):
         found, wanted = _a_or_an(type(value).__name__), _a_or_an(cls.__name__)
         raise DomainError(f"{what} is {found}, not {wanted}")
     return value

@@ -14,7 +14,7 @@ canonical affine Weyl group elements.
 from __future__ import annotations
 
 from . import affine, finchar, weyl
-from .affine import AffineWeylElement, Level, _as_alcove_weight
+from .affine import AffineWeylElement, Level, _as_alcove_weight, _residue
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
 from .rootsys import (RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen, _Record,
                       root_coords)
@@ -98,7 +98,8 @@ def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
                cap: int = finchar.DEFAULT_CAP, verma: bool = False) -> Weight:
     """:func:`translate_weyl` (:func:`translate_verma` when ``verma``) for checked ``mu``, ``lam``:
     ``g . lam``, once ``{g . lam: 1}`` is all of the filtration linked to ``lam``."""
-    start = affine._dot(rs, g, mu, level)
+    g = affine._as_group_element(rs, g, level)
+    start = affine._dot(rs, g, mu)
     if not (verma or start.is_dominant):
         raise DomainError(f"g.mu {start} is not dominant integral")
     expected = affine._dot(rs, g, lam)
@@ -130,32 +131,28 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     weyl._check_order(rs, 10 ** 6)
-    g = affine._canonical_element(rs, g)  # compared with canonical elements below
-    start = _as_weight(rs, affine._dot(rs, g, mu, level), "g.mu", dominant=True)
+    g = affine._as_group_element(rs, g, level)
+    g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+    start = _as_weight(rs, affine._dot(rs, g, mu), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
-    if height > bound:
+    if height > _as_instance(bound, int, "bound"):
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
     tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
     support = finchar.weight_multiplicities(rs, tau)
-    p = level.p
-
-    def residue(wt):
-        return tuple(c % p for c in root_coords(rs, wt))
-
     # beta = (start + nu) - w . lam is in pQ iff both terms have the same
     # root coordinates mod p.  With y = w(lam + rho), w . lam = y - rho, so
     # bucket every nu by the residue of start + rho + nu and look y up.
     shifted_start = start + rs.rho
     buckets: dict[tuple, list[Weight]] = {}
     for nu in support:
-        buckets.setdefault(residue(shifted_start + nu), []).append(nu)
+        buckets.setdefault(_residue(rs, shifted_start + nu, level.p), []).append(nu)
     found = False
     ok = True
     # lam + rho is regular dominant: its orbit meets every w once, and the
     # dominant walk of w(lam + rho) spells w as that of w(rho) does.
     for y, _, _ in weyl._descend(rs, lam + rs.rho):
-        for nu in buckets.get(residue(y), ()):
+        for nu in buckets.get(_residue(rs, y, level.p), ()):
             found = True
             w1 = AffineWeylElement(shifted_start + nu - y, weyl._word_of(rs, list(y)))
             if w1 != g or tuple(weyl._dominant_walk(rs, list(nu))) != tau:
@@ -199,10 +196,11 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
             raise DomainError(f"coefficient {c!r} is not an int")
         if c == 0:
             continue
-        g = affine._canonical_element(rs, g, "key")
+        g = affine._as_group_element(rs, g, level, "key")
+        g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
         if g in cleaned:
             raise DomainError(f"two keys spell the element {g}")
-        image = affine._dot(rs, g, base, level)
+        image = affine._dot(rs, g, base)
         if not image.is_dominant:
             raise DomainError(f"key {g} sends {base} to {image}, "
                               "outside the dominant cone")
@@ -224,7 +222,8 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
     _as_instance(chi, LinkageCharacter, "chi")
     _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
     lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
-    kept = [g for g in chi.coeffs if affine._dot(rs, g, lam, chi.level).is_dominant]
+    kept = [g for g in chi.coeffs
+            if affine._dot(rs, affine._as_group_element(rs, g, chi.level), lam).is_dominant]
     return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, kept)})
 
 

@@ -206,7 +206,7 @@ def _order(rs: RootSystem) -> int:
 def _check_order(rs: RootSystem, max_size: int | None) -> None:
     """Refuse, before any walk, a Weyl group of more than ``max_size``
     elements (``None``: no limit)."""
-    if max_size is not None and _order(rs) > max_size:
+    if max_size is not None and _order(rs) > _as_instance(max_size, int, "max_size"):
         raise DomainError(f"Weyl group of {rs.spec} exceeds max_size={max_size}")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,33 @@ def test_non_weyl_finite_part_is_domain_error(fn, valid, param):
         _spoiled(fn, valid, param, bad)
 
 
+def _element_with(param, finite, translation=ZERO):
+    """``param``'s value holding the affine element ``(translation, finite)``,
+    or ``finite`` itself for a finite-element parameter."""
+    if param in ("w", "v"):
+        return finite
+    g = AffineWeylElement(translation, finite)
+    return {"coeffs": {g: 1}, "generators": [g]}.get(param, g)
+
+
+@pytest.mark.parametrize("fn,valid,param", [
+    cell for cell in _element_cells() if cell.values[0] is not affine.translation_lattice_coords])
+def test_bad_word_letter_is_domain_error(fn, valid, param):
+    # translation_lattice_coords never reads the word
+    with pytest.raises(DomainError,
+                       match=r"^Weyl word \(7,\) has letter 7 outside 0\.\.1 for A2$"):
+        _spoiled(fn, valid, param, _element_with(param, WeylElement((7,))))
+
+
+@pytest.mark.parametrize("fn,valid,param", [
+    cell for cell in _element_cells() if cell.values[2] not in ("w", "v")])
+def test_wrong_rank_translation_is_domain_error_naming_the_argument(fn, valid, param):
+    name = SPOILED.get(param, (None, param))[1]
+    with pytest.raises(DomainError,
+                       match=fr"^translation of {name} \[0\] has wrong rank for A2$"):
+        _spoiled(fn, valid, param, _element_with(param, IDENTITY, Weight([0])))
+
+
 def test_make_labels_refuses_a_non_collection():
     for bad in (5, [[G]]):  # not iterable; an unhashable member
         with pytest.raises(DomainError, match="generators must be a collection"):
@@ -429,6 +457,56 @@ def test_level_table_covers_every_public_level_function():
     missing = [name for name in afftrans.__all__
                if callable(obj := getattr(afftrans, name)) and not isinstance(obj, type)
                and "level" in inspect.signature(obj).parameters and obj not in covered]
+    assert not missing
+
+
+# ---------------------------------------------------------------------------
+# the public integer-argument contract
+
+# Every public function that takes a count (``afftrans.__all__`` plus
+# ``weyl.enumerate_elements``) but ``identity_element``, whose rank is
+# checked below: valid keyword arguments on A2 at P5, and its counts.
+INT_CONTRACT = [
+    (weyl.enumerate_elements, dict(max_size=10), "max_size"),
+    (affine.dominant_orbit, dict(lam=OK, level=P5, bound=10), "bound"),
+    (finchar.weight_multiplicities, dict(lam=OK, cap=10), "cap"),
+    (finchar.tensor_decompose, dict(lam=OK, mu=ZERO, cap=10), "cap"),
+    (finchar.tensor_oracle, dict(lam=OK, mu=ZERO, cap=10), "cap"),
+    (translate.kl_weyl_filtration, dict(lam=OK, mu=ZERO, cap=10), "cap"),
+    (translate.verma_filtration, dict(lam=OK, mu=ZERO, cap=10), "cap"),
+    (translate.translate_weyl, dict(g=G, mu=ZERO, lam=OK, level=P5, cap=10), "cap"),
+    (translate.translate_verma, dict(g=G, mu=ZERO, lam=OK, level=P5, cap=10), "cap"),
+    (translate.verify_weight_geometry,
+     dict(lam=OK, mu=ZERO, g=G, level=P5, bound=40), "bound"),
+]
+INT_PARAMS = {"cap", "bound", "max_size", "rank"}
+NO_LIMIT = {(weyl.enumerate_elements, "max_size"), (affine.dominant_orbit, "bound")}
+
+
+def test_int_contract_rows_are_valid_calls():
+    for fn, valid, param in INT_CONTRACT:
+        fn(A2, **valid)
+        if (fn, param) in NO_LIMIT:
+            fn(A2, **{**valid, param: None})
+
+
+@pytest.mark.parametrize("fn,valid,param", [
+    pytest.param(fn, valid, param, id=fn.__name__) for fn, valid, param in INT_CONTRACT])
+def test_non_int_count_is_domain_error_naming_the_argument(fn, valid, param):
+    bads = [(True, "a bool"), (10.5, "a float"), ("20", "a str"), (Fraction(10), "a Fraction")]
+    if (fn, param) not in NO_LIMIT:
+        bads.append((None, "a NoneType"))
+    for bad, found in bads:
+        with pytest.raises(DomainError, match=f"^{param} is {found}, not an int$"):
+            _spoiled(fn, valid, param, bad)
+
+
+def test_int_table_covers_every_public_count_function():
+    covered = {fn for fn, _, _ in INT_CONTRACT} | {identity_element}
+    missing = [name for name in afftrans.__all__
+               if callable(obj := getattr(afftrans, name)) and not isinstance(obj, type)
+               and set(inspect.signature(obj).parameters) & INT_PARAMS
+               and obj not in covered]
     assert not missing
 
 
@@ -595,3 +673,11 @@ def test_identity_element_properties():
 def test_identity_element_of_a_non_rank_is_domain_error():
     with pytest.raises(DomainError, match="^rank is a NoneType, not an int$"):
         identity_element(None)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (True, "rank is a bool, not an int"), (2.0, "rank is a float, not an int"),
+    (0, "rank 0 is not positive"), (-1, "rank -1 is not positive")])
+def test_identity_element_of_a_non_positive_int_is_domain_error(bad, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        identity_element(bad)

@@ -198,10 +198,10 @@ def test_verify_weight_geometry_walks_the_group_once(monkeypatch):
         raise AssertionError("the group is enumerated per call")
 
     calls = []
-    counted = translate.root_coords
+    counted = translate._residue
     monkeypatch.setattr(weyl, "enumerate_elements", refuse)
-    monkeypatch.setattr(translate, "root_coords",
-                        lambda rs, wt: calls.append(wt) or counted(rs, wt))
+    monkeypatch.setattr(translate, "_residue",
+                        lambda rs, wt, p: calls.append(wt) or counted(rs, wt, p))
     lam, mu = Weight([1, 0]), Weight([0, 1])
     assert translate.verify_weight_geometry(
         A2, lam, mu, affine.identity_element(2), P4, 16)
@@ -462,6 +462,8 @@ def test_two_bad_arguments_name_the_first_checked(fn, case, message):
 # Off the translation path: a wrong-rank translation is named before the
 # element is used (the identity check of make_labels would read it first).
 WRONG_RANK_ELEMENT = [
+    ("compose_affine", lambda: affine.compose_affine(B2, affine.identity_element(2), SHORT_SHIFT),
+     "translation of h [0] has wrong rank for B2"),
     ("inverse_affine", lambda: affine.inverse_affine(B2, SHORT_SHIFT),
      "translation of g [0] has wrong rank for B2"),
     ("make_labels", lambda: annihilator.make_labels(B2, [0, 0], [SHORT_SHIFT], P6),
@@ -474,6 +476,26 @@ WRONG_RANK_ELEMENT = [
 def test_wrong_rank_translation_is_named(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Off the lattice and with a bad letter: every function that takes a group
+# element and a level checks the lattice before it applies or respells the word.
+OFF_LATTICE_BAD_LETTER = AffineWeylElement(Weight([1, 0]), WeylElement((7,)))
+LATTICE_FIRST = {
+    "translation_lattice_coords": lambda g: affine.translation_lattice_coords(B2, g, P6),
+    "make_labels": lambda g: annihilator.make_labels(B2, REG, [g], P6),
+    **{fn: lambda g, fn=fn: _call(fn, g, REG, "lam") for fn in (
+        "affine_apply", "translate_weyl", "translate_verma", "verify_weight_geometry",
+        "translate_character", "make_character", "transport")},
+}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=fn) for fn, call in LATTICE_FIRST.items()])
+def test_off_lattice_element_is_named_before_its_letters(call):
+    message = "translation [1,0] is not in 6Q (root coords (1, 1))"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(OFF_LATTICE_BAD_LETTER)
 
 
 def test_precedence_table_covers_every_case_of_every_function():
