@@ -6,9 +6,9 @@ and tensor-product decomposition by the signed-reflection (Racah) rule.
 multiply the two characters as lattice polynomials, then read the Weyl
 character formula off the product — and is used to cross-check the fast path.
 
-All arithmetic is in exact integers: the form scaled by ``RootSystem.form_den``,
-character convolution via big-integer packing (never floating point).  Only
-the standard library is used.
+All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
+and the standard library only.  Each character is walked once, then cached by
+:func:`_character` in the two layouts that its readers use.
 """
 
 from __future__ import annotations
@@ -78,24 +78,23 @@ def _dominant_below(rs: RootSystem, lam: Weight):
     return sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))
 
 
-@lru_cache(maxsize=None)
-def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
-    """Freudenthal table {dominant weight: multiplicity} for highest weight lam.
+def _freudenthal(rs: RootSystem, lam: Weight):
+    """(drop, nu, multiplicity) per dominant nu below lam, in the order of
+    :func:`_dominant_below`, by Freudenthal's recursion.
 
     Cells are filled top-down (descending height).  For each positive root
     the string sum S(x) = sum_j m(x + j*alpha) * (x + j*alpha, alpha) is
     memoised along the whole root line, so every support point is visited
     only once per root.
     """
-    table: dict = {}
     roots = _root_data(rs)
     lam_rho = [c + 1 for c in lam]
     lam_rho_sq = _form_numerator(rs, lam_rho, lam_rho)
     suffix: list[dict] = [{} for _ in roots]
-    for drop, nu in _dominant_below(rs, lam):
-        if not any(drop):
-            table[nu] = 1  # the highest weight itself
-            continue
+    below = _dominant_below(rs, lam)
+    table = {lam: 1}  # the highest weight itself, first below lam
+    yield (*below[0], 1)
+    for drop, nu in below[1:]:
         total = 0
         for memo, (alpha, row, half, _) in zip(suffix, roots):
             x = tuple(nu)
@@ -120,18 +119,21 @@ def _dominant_mults(rs: RootSystem, lam: Weight) -> dict:
         m_nu, rem = divmod(2 * total, denom)
         assert rem == 0 and m_nu > 0, (lam, nu)
         table[nu] = m_nu
-    return table
+        yield drop, nu, m_nu
 
 
 @lru_cache(maxsize=None)
-def _char_items(rs: RootSystem, lam: Weight):
-    """Full weight support of the character, as sorted (weight, mult) pairs."""
-    items = []
-    for nu, m in _dominant_mults(rs, lam).items():
-        for x, _, _ in weyl._descend(rs, nu):
-            items.append((Weight(x), m))
-    items.sort()
-    return tuple(items)
+def _character(rs: RootSystem, lam: Weight) -> tuple:
+    """The character of V_lam from one walk below lam and one orbit walk per
+    dominant weight, in two layouts: (weight, mult) pairs sorted by weight,
+    and (drop, mult) cells with drop = rc(lam - weight)."""
+    pairs, cells = [], []
+    for drop, nu, m in _freudenthal(rs, lam):
+        for x, d, _ in weyl._descend(rs, nu):
+            pairs.append((Weight(x), m))
+            cells.append((tuple(map(add, drop, d)), m))
+    pairs.sort()
+    return tuple(pairs), tuple(cells)
 
 
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
@@ -142,7 +144,7 @@ def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dic
     lam = _as_weight(rs, lam, dominant=True)
     if _dim(rs, lam) > _as_instance(cap, int, "cap"):
         raise DimensionCapError(f"dimension {_dim(rs, lam)} exceeds cap {cap}")
-    return dict(_char_items(rs, lam))
+    return dict(_character(rs, lam)[0])
 
 
 def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
@@ -159,7 +161,7 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     if _dim(rs, mu) > _dim(rs, lam):
         lam, mu = mu, lam  # the rule sums over the smaller character
     out: dict = {}
-    for nu_prime, m in _char_items(rs, mu):
+    for nu_prime, m in _character(rs, mu)[0]:
         letters: list[int] = []
         coords = weyl._dominant_walk(
             rs, [a + b + 1 for a, b in zip(lam, nu_prime)], letters)
@@ -182,27 +184,13 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
 
 
 @lru_cache(maxsize=4096)
-def _orbit_cells(rs: RootSystem, lam: Weight) -> tuple:
-    """Per dominant nu below lam: (drop, nu, drops rc(lam - x) over the orbit
-    W.nu that :func:`weyl._descend` lists)."""
-    return tuple((drop, nu, tuple(tuple(map(add, drop, d)) for _, d, _ in weyl._descend(rs, nu)))
-                 for drop, nu in _dominant_below(rs, lam))
-
-
-@lru_cache(maxsize=None)
-def _char_grid(rs: RootSystem, lam: Weight) -> tuple:
-    """The character of V_lam as (drop, mult) cells, drop = rc(lam - x)."""
-    mults = _dominant_mults(rs, lam)
-    return tuple((d, mults[nu]) for _, nu, drops in _orbit_cells(rs, lam) for d in drops)
-
-
-@lru_cache(maxsize=4096)
 def _product_plan(rs: RootSystem, top: Weight) -> tuple:
-    """Flat layout of a character product with highest weight ``top``: its box
-    strides and size and, per dominant nu below top, nu, the cells of W.nu
-    and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1,
+    """Flat layout of a character product with highest weight ``top``, from its
+    own walk below top: box strides and size and, per dominant nu, nu, the cells
+    of W.nu and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1,
     for the w(rho) that :func:`weyl._descend` lists under the drops of top."""
-    rows = _orbit_cells(rs, top)
+    rows = [(drop, nu, [tuple(map(add, drop, d)) for _, d, _ in weyl._descend(rs, nu)])
+            for drop, nu in _dominant_below(rs, top)]
     shape = [max(axis) + 1 for axis in zip(*rows[0][2])]  # W.top reaches w0(top)
     strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
     terms = weyl._descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))
@@ -234,7 +222,7 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     strides, cells_in_box, plan = _product_plan(rs, lam + mu)
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
-    grids = (_char_grid(rs, lam), _char_grid(rs, mu))
+    grids = (_character(rs, lam)[1], _character(rs, mu)[1])
     # No product cell exceeds the product of the two characters' masses.
     largest = prod(sum(m for _, m in cells) for cells in grids)
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)

@@ -351,9 +351,13 @@ def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple[Wei
                   key=lambda item: (sum(item[1]), item[0]))
 
 
-@functools.lru_cache(maxsize=None)
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
     """Construct (and cache) the full root-system data for a valid type."""
+    return _build_root_system(_as_instance(spec, RootSystemSpec, "spec"))
+
+
+@functools.lru_cache(maxsize=None)  # checked by build_root_system, before its lookup
+def _build_root_system(spec: RootSystemSpec) -> RootSystem:
     n = spec.rank
     cartan = _cartan_matrix(spec.series, spec.rank)
     d = _symmetrizer(cartan)

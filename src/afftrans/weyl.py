@@ -22,7 +22,7 @@ import functools
 from math import prod
 
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, pairing, root_coords
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, pairing
 
 
 class WeylElement(_Frozen):
@@ -196,9 +196,9 @@ def bar_involution(rs: RootSystem, lam) -> Weight:
 
 @functools.lru_cache(maxsize=None)
 def _order(rs: RootSystem) -> int:
-    """|W| as the product of the degrees m + 1 of W.  The exponents m are the
-    dual partition of the numbers of positive roots of each height."""
-    heights = [sum(root_coords(rs, alpha)) for alpha in rs.positive_roots]
+    """|W| as the product of its degrees m + 1, which Phi and Phi^vee share: the
+    exponents m are the dual partition of the numbers of positive coroots per height."""
+    heights = [sum(row) for row in rs.coroot_rows]
     counts = [heights.count(h) for h in range(1, max(heights) + 1)]
     return prod(1 + sum(n >= i for n in counts) for i in range(1, rs.rank + 1))
 

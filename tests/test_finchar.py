@@ -78,6 +78,12 @@ def test_support_lies_under_the_highest_weight(rs, lam):
         assert all(isinstance(c, int) and c >= 0 for c in drop)
 
 
+@pytest.mark.parametrize("rs,lam", [(A2, [2, 1]), (B2, [1, 1]), (G2, [1, 0])])
+def test_multiplicities_list_weights_in_sorted_order(rs, lam):
+    weights = list(finchar.weight_multiplicities(rs, Weight(lam)))
+    assert weights == sorted(weights)
+
+
 def test_multiplicities_dimension_guard():
     with pytest.raises(DimensionCapError):
         finchar.weight_multiplicities(A1, Weight([200]), cap=100)
@@ -226,15 +232,16 @@ def test_oracle_agrees_with_decompose(rs):
 ])
 def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, drop, mult, match):
     # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``
-    real = finchar._char_grid
+    real = finchar._character
 
-    def grid_with_one_cell_changed(rs_, wt):
-        cells = dict(real(rs_, wt))
+    def character_with_one_cell_changed(rs_, wt):
+        pairs, cells = real(rs_, wt)
+        cells = dict(cells)
         if wt == Weight(mu):
             cells[drop] = mult
-        return tuple((d, m) for d, m in cells.items() if m)
+        return pairs, tuple((d, m) for d, m in cells.items() if m)
 
-    monkeypatch.setattr(finchar, "_char_grid", grid_with_one_cell_changed)
+    monkeypatch.setattr(finchar, "_character", character_with_one_cell_changed)
     with pytest.raises(InternalInconsistencyError, match=match):
         finchar.tensor_oracle(rs, Weight(lam), Weight(mu))
 
@@ -243,7 +250,7 @@ def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, d
 def test_oracle_cell_width_follows_the_masses(monkeypatch, mult, fits):
     # a trivial grid of mass ``mult`` squared: one product cell, kept exact up
     # to a 64-bit limb and refused beyond it
-    monkeypatch.setattr(finchar, "_char_grid", lambda rs, wt: (((0,), mult),))
+    monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), (((0,), mult),)))
     zero = Weight([0])
     if fits:
         assert finchar.tensor_oracle(A1, zero, zero) == {zero: mult * mult}
@@ -265,6 +272,33 @@ def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):
 
     monkeypatch.setattr(weyl, "_dominant_walk", refuse)
     assert finchar.tensor_oracle(B2, lam, mu) == want
+
+
+def test_each_character_is_walked_once(monkeypatch):
+    # decompose reads chi_mu; the oracle reads chi_lam, chi_mu and the plan of
+    # lam + mu; weight_multiplicities reads chi_lam again.  Three walks below a
+    # highest weight (lam, mu, lam + mu), one orbit walk per dominant weight
+    # under each (4 + 2 + 11) and one of rho for the plan's signed sums.
+    for obj in vars(finchar).values():
+        if getattr(obj, "__module__", None) == finchar.__name__ and hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    calls = {"_descend": 0, "_dominant_below": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(weyl, "_descend")
+    count(finchar, "_dominant_below")
+    lam, mu = Weight([2, 1]), Weight([1, 1])
+    finchar.tensor_decompose(B2, lam, mu)
+    finchar.tensor_oracle(B2, lam, mu)
+    finchar.weight_multiplicities(B2, lam)
+    assert calls == {"_descend": 18, "_dominant_below": 3}
 
 
 def test_oracle_dimension_guard():

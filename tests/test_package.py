@@ -57,6 +57,31 @@ def test_records_pickle_through_the_package():
     assert pickle.loads(pickle.dumps(g)) == g
 
 
+# Every lru_cache in the package, by layer and name, with its maxsize.
+CACHES = {
+    "affine._alcove_rep_coords": 200_000,
+    "affine._alcove_weights": 4096,
+    "affine._theta_reflection": None,
+    "finchar._character": None,
+    "finchar._dim": None,
+    "finchar._product_plan": 4096,
+    "finchar._root_data": None,
+    "rootsys._build_root_system": None,
+    "weyl._order": None,
+    "weyl.longest_element": None,
+}
+
+
+def test_cache_inventory():
+    found = {}
+    for layer in sorted({*afftrans._LAYER_OF.values(), "cli"}):
+        module = import_module(f"afftrans.{layer}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{layer}.{attr}"] = obj.cache_parameters()["maxsize"]
+    assert found == CACHES
+
+
 def _loaded(code: str) -> set:
     """The afftrans layers loaded after ``code`` runs in a fresh interpreter."""
     script = (f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"

@@ -12,6 +12,7 @@ from afftrans.rootsys import (
     RootSystemSpec,
     Weight,
     bilinear,
+    build_root_system,
     coroot_pairings,
     pairing,
     root_coords,
@@ -79,6 +80,16 @@ def test_spec_parse_roundtrip():
 
 def test_instances_are_cached_singletons():
     assert root_system("B3") is root_system("B3")
+
+
+@pytest.mark.parametrize("spec,kind", [
+    ("A2", "a str"), (None, "a NoneType"), (7, "an int"), ((1, 0), "a tuple"),
+    # unhashable: refused before the cache lookup, not by it
+    ([1], "a list"), ({}, "a dict"),
+])
+def test_build_root_system_refuses_a_non_spec(spec, kind):
+    with pytest.raises(DomainError, match=f"^spec is {kind}, not a RootSystemSpec$"):
+        build_root_system(spec)
 
 
 # ---------------------------------------------------------------------------
