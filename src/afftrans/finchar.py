@@ -7,16 +7,18 @@ multiply the two characters as lattice polynomials, then read the Weyl
 character formula off the product — and is used to cross-check the fast path.
 
 All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
-and the standard library only.  Each character is walked once, then cached by
-:func:`_character` in the two layouts that its readers use.
+and the standard library only.  Each dominant orbit is walked once per process
+(:func:`_orbit`), and each character is built once from those walks, then
+cached by :func:`_character` in the two layouts that its readers use.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import accumulate, compress, repeat
 from math import prod
-from operator import add, le, mul
+from operator import add, le, mul, sub
 from struct import calcsize
 
 from . import weyl
@@ -34,7 +36,7 @@ def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
             f"dimension product {product} exceeds cap {cap}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _dim(rs: RootSystem, lam: Weight) -> int:
     num = den = 1
     for row in rs.coroot_rows:
@@ -68,14 +70,17 @@ def _dominant_below(rs: RootSystem, lam: Weight):
     lam - nu.  Every such nu is a weight of the module with highest weight lam.
     Breadth-first from lam down the positive roots, through dominant points
     only: by Stembridge ("The partial order of dominant weights", Adv. Math.
-    136, 1998) every dominant nu < lam lies below a dominant lam - alpha."""
-    cells = level = {(0,) * rs.rank: lam}
+    136, 1998) every dominant nu < lam lies below a dominant lam - alpha.
+    The walk is over plain tuples; each nu becomes a ``Weight`` at the end."""
+    cells = level = {(0,) * rs.rank: tuple(lam)}
     while level:
-        level = {tuple(map(add, drop, rc)): nu - alpha for drop, nu in level.items()
+        level = {tuple(map(add, drop, rc)): tuple(map(sub, nu, alpha))
+                 for drop, nu in level.items()
                  for alpha, _, _, rc in _root_data(rs) if all(map(le, alpha, nu))}
         level = {drop: nu for drop, nu in level.items() if drop not in cells}
         cells.update(level)
-    return sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))
+    return [(drop, Weight(nu)) for drop, nu in
+            sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))]
 
 
 def _freudenthal(rs: RootSystem, lam: Weight):
@@ -122,15 +127,23 @@ def _freudenthal(rs: RootSystem, lam: Weight):
         yield drop, nu, m_nu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+def _orbit(rs: RootSystem, nu: Weight) -> tuple:
+    """(weight, drop) for every weight of W.nu, nu dominant, with drop =
+    rc(nu - weight): one :func:`weyl._descend`, shared by every character and
+    product plan that holds nu."""
+    return tuple((Weight(x), d) for x, d, _ in weyl._descend(rs, nu))
+
+
+@lru_cache(maxsize=4096)
 def _character(rs: RootSystem, lam: Weight) -> tuple:
-    """The character of V_lam from one walk below lam and one orbit walk per
+    """The character of V_lam from one walk below lam and the orbit of each
     dominant weight, in two layouts: (weight, mult) pairs sorted by weight,
     and (drop, mult) cells with drop = rc(lam - weight)."""
     pairs, cells = [], []
     for drop, nu, m in _freudenthal(rs, lam):
-        for x, d, _ in weyl._descend(rs, nu):
-            pairs.append((Weight(x), m))
+        for x, d in _orbit(rs, nu):
+            pairs.append((x, m))
             cells.append((tuple(map(add, drop, d)), m))
     pairs.sort()
     return tuple(pairs), tuple(cells)
@@ -153,27 +166,30 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     Signed-reflection rule: for every weight nu' of the smaller factor,
     dot-reflect lam + nu' into the dominant chamber, with the sign of the
     walk's length; points on a chamber wall contribute nothing.  Singularity
-    is Weyl-invariant, so a walk that touches a wall also ends on one.
+    is Weyl-invariant, so a walk that touches a wall also ends on one.  Only
+    a shifted point lam + nu' + rho with a negative coordinate is walked: with
+    none it is dominant, and regular unless a coordinate is 0.
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     if _dim(rs, mu) > _dim(rs, lam):
         lam, mu = mu, lam  # the rule sums over the smaller character
-    out: dict = {}
+    lam_rho = [c + 1 for c in lam]
+    shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
     for nu_prime, m in _character(rs, mu)[0]:
-        letters: list[int] = []
-        coords = weyl._dominant_walk(
-            rs, [a + b + 1 for a, b in zip(lam, nu_prime)], letters)
-        if 0 in coords:
-            continue  # on a wall: contributes 0
-        key = Weight(c - 1 for c in coords)
-        new = out.get(key, 0) + (-m if len(letters) % 2 else m)
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    if any(v <= 0 for v in out.values()):
+        x = tuple(map(add, lam_rho, nu_prime))
+        low = min(x)
+        if low < 0:
+            letters: list[int] = []
+            x = tuple(weyl._dominant_walk(rs, list(x), letters))
+            low = min(x)
+            if len(letters) % 2:
+                m = -m
+        if low:  # else on a wall: contributes 0
+            shifted[x] = shifted.get(x, 0) + m
+    out = {Weight(c - 1 for c in x): v for x, v in shifted.items() if v}
+    if any(v < 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")
     mass = sum(v * _dim(rs, nu) for nu, v in out.items())
@@ -185,24 +201,35 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
 
 @lru_cache(maxsize=4096)
 def _product_plan(rs: RootSystem, top: Weight) -> tuple:
-    """Flat layout of a character product with highest weight ``top``, from its
-    own walk below top: box strides and size and, per dominant nu, nu, the cells
-    of W.nu and the cells nu + rho - w(rho) with eps(w) = 1 and with eps(w) = -1,
-    for the w(rho) that :func:`weyl._descend` lists under the drops of top."""
-    rows = [(drop, nu, [tuple(map(add, drop, d)) for _, d, _ in weyl._descend(rs, nu)])
-            for drop, nu in _dominant_below(rs, top)]
-    shape = [max(axis) + 1 for axis in zip(*rows[0][2])]  # W.top reaches w0(top)
+    """Flat layout of a character product with highest weight ``top``: box
+    strides and size; the dominant nu below top; the flat index of every cell
+    of every W.nu in one tuple, beside the index (in that tuple) of its
+    orbit's head; and the read-off cells nu + rho - w(rho) with eps(w) = 1 and
+    with eps(w) = -1, one tuple per sign with the bounds of each nu's run, for
+    the w(rho) that :func:`weyl._descend` lists under the drops of top."""
+    below = _dominant_below(rs, top)
+    shape = [max(axis) + 1 for axis in zip(*(d for _, d in _orbit(rs, top)))]  # to w0(top)
     strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
-    terms = weyl._descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))
-    plan = []
-    for drop, nu, drops in rows:
-        at, signed = sum(map(mul, drop, strides)), ([], [])
-        for _, d, eps in terms:
+    terms = [(d, sum(map(mul, d, strides)), eps) for _, d, eps in
+             weyl._descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))]
+    cells, heads, signed, bounds = [], [], ([], []), ([0], [0])
+    for drop, nu in below:
+        at, orbit = sum(map(mul, drop, strides)), _orbit(rs, nu)
+        heads += repeat(len(cells), len(orbit))
+        cells += [at + sum(map(mul, d, strides)) for _, d in orbit]
+        for d, shift, eps in terms:
             if all(map(le, d, drop)):
-                signed[eps < 0].append(at - sum(map(mul, d, strides)))
-        plan.append((nu, tuple(sum(map(mul, d, strides)) for d in drops),
-                     *map(tuple, signed)))
-    return strides, prod(shape), tuple(plan)
+                signed[eps < 0].append(at - shift)
+        for run, ends in zip(signed, bounds):
+            ends.append(len(run))
+    return (strides, prod(shape), tuple(nu for _, nu in below), tuple(cells),
+            tuple(heads), *map(tuple, signed), *map(tuple, bounds))
+
+
+def _run_sums(out: list, run: tuple, ends: tuple) -> list:
+    """The sum of ``out`` over each run of cells, the runs ending at ``ends``."""
+    partial = [0, *accumulate(map(out.__getitem__, run))]
+    return list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
 
 
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
@@ -214,41 +241,43 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho -
     w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
     Besides the dimension product, ``cap`` bounds the cells of the product
-    box, which is refused before it is allocated.
+    box, which is refused before it is allocated.  The scatter, the
+    invariance check and the read-off are C-level passes over the cached
+    flat layout of :func:`_product_plan`.
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
-    strides, cells_in_box, plan = _product_plan(rs, lam + mu)
+    strides, cells_in_box, nus, orbit_cells, heads, plus, minus, plus_ends, minus_ends = \
+        _product_plan(rs, lam + mu)
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
-    grids = (_character(rs, lam)[1], _character(rs, mu)[1])
+    grids = [tuple(zip(*_character(rs, wt)[1])) for wt in (lam, mu)]  # (drops, mults)
     # No product cell exceeds the product of the two characters' masses.
-    largest = prod(sum(m for _, m in cells) for cells in grids)
+    largest = prod(sum(mults) for _, mults in grids)
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
     size = cells_in_box * calcsize(limb)
     product = 1
-    for cells in grids:
+    for drops, mults in grids:
+        flat = repeat(0)  # drop . strides, summed one column of drops at a time
+        for column, stride in zip(zip(*drops), strides):
+            flat = map(add, flat, map(mul, column, repeat(stride)))
         limbs = memoryview(bytearray(size)).cast(limb)
-        for drop, m in cells:
-            limbs[sum(map(mul, drop, strides))] = m
+        any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None
         product *= int.from_bytes(limbs, sys.byteorder)
     out = memoryview(product.to_bytes(size, sys.byteorder)).cast(limb).tolist()
-    # Weyl-invariant iff every orbit below the top is constant and holds
-    # every nonzero cell of the box.
-    orbits = [orbit for _, orbit, _, _ in plan if out[orbit[0]]]
-    if (sum(map(len, orbits)) != len(out) - out.count(0)
-            or any(len(set(map(out.__getitem__, orbit))) > 1 for orbit in orbits)):
+    # Weyl-invariant iff every orbit below the top is constant and together
+    # they hold every nonzero cell of the box.
+    values = list(map(out.__getitem__, orbit_cells))
+    if (list(map(values.__getitem__, heads)) != values
+            or len(values) - values.count(0) != len(out) - out.count(0)):
         raise InternalInconsistencyError(
             f"character product {lam} x {mu} is not Weyl-invariant")
-    result: dict = {}
-    for nu, _, plus, minus in plan:
-        n_nu = sum(map(out.__getitem__, plus)) - sum(map(out.__getitem__, minus))
-        if n_nu < 0:
-            raise InternalInconsistencyError(
-                f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu}")
-        if n_nu:
-            result[nu] = n_nu
-    return dict(sorted(result.items()))
+    read = list(map(sub, _run_sums(out, plus, plus_ends), _run_sums(out, minus, minus_ends)))
+    if min(read) < 0:
+        n_nu, nu = next((n, nu) for n, nu in zip(read, nus) if n < 0)
+        raise InternalInconsistencyError(
+            f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu}")
+    return dict(sorted(zip(compress(nus, read), compress(read, read))))

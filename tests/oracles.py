@@ -5,9 +5,10 @@ realised as integer matrices generated from a private copy of the Cartan
 tables, linear algebra is Gaussian elimination over ``Fraction``, and weight
 multiplicities come from dividing the alternating orbit sum of ``lam + rho``
 by the Weyl denominator -- a different algorithm on different data
-structures, so agreement with the library is a real check.  The two dense
-box filters at the end are the references for the library's walks over
-dominant weights.
+structures, so agreement with the library is a real check.  Tensor products
+come from those characters and the group's matrices.  The two dense box
+filters at the end are the references for the library's walks over dominant
+weights.
 """
 
 from __future__ import annotations
@@ -207,6 +208,24 @@ def character_oracle(cartan, lam) -> dict:
 
 def dimension_oracle(cartan, lam) -> int:
     return sum(character_oracle(cartan, lam).values())
+
+
+def tensor_reference(cartan, lam, mu) -> dict:
+    """Multiplicities {nu: N} of V_lam (x) V_mu by Brauer's formula over the
+    whole group: N_nu = sum over the weights x of V_mu and the w in W with
+    w(lam + x + rho) = nu + rho dominant of sign(w) * mult(x).  A point on a
+    wall reaches the chamber only on the wall, where nu has a coordinate -1,
+    so it adds nothing."""
+    lam = tuple(lam)
+    out = {}
+    for x, mult in character_oracle(cartan, mu).items():
+        point = tuple(a + b + 1 for a, b in zip(lam, x))
+        for mat, length in weyl_group(cartan).items():
+            nu = tuple(c - 1 for c in _mat_vec(mat, point))
+            if min(nu) >= 0:
+                out[nu] = out.get(nu, 0) + (-mult if length % 2 else mult)
+    assert all(n >= 0 for n in out.values()), out
+    return {nu: n for nu, n in sorted(out.items()) if n}
 
 
 def dominant_below_box(cartan, lam):

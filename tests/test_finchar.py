@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from afftrans import finchar, weyl
@@ -220,6 +223,50 @@ def test_oracle_agrees_with_decompose(rs):
         checked += 1
 
 
+REFERENCE_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
+
+
+@functools.lru_cache(maxsize=None)
+def _character(name, lam):
+    return oracles.character_oracle(oracles.cartan_matrix(name[0], int(name[1:])), lam)
+
+
+def _branches(name, lam, mu):
+    """The branches tensor_decompose takes on a pair, from the oracles alone:
+    the sign of the least coordinate of lam + x + rho over the weights x of
+    the smaller factor (mu on a tie) -- 1 dominant and regular, 0 on a wall
+    with no negative coordinate, -1 walked to the chamber."""
+    if sum(_character(name, mu).values()) > sum(_character(name, lam).values()):
+        lam, mu = mu, lam
+    lows = (min(a + b + 1 for a, b in zip(lam, x)) for x in _character(name, mu))
+    return {(low > 0) - (low < 0) for low in lows}
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs_on_every_branch(name):
+    """Pairs of small dominant weights (dimension product at most 2,000) that
+    take every branch that ``name`` allows.  On A1 that is the first alone:
+    the smaller factor's lowest weight -mu is at least -lam.  From rank 2 on
+    it is all three."""
+    top = {1: 4, 2: 2, 3: 1}[int(name[1:])]
+    weights = list(itertools.product(range(top + 1), repeat=int(name[1:])))
+    dims = {lam: sum(_character(name, lam).values()) for lam in weights}
+    want = {1} if name == "A1" else {-1, 0, 1}
+    return [(lam, mu) for lam, mu in itertools.product(weights, repeat=2)
+            if dims[lam] * dims[mu] <= 2000 and _branches(name, lam, mu) == want]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(REFERENCE_TYPES).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(_pairs_on_every_branch(name)))))
+def test_decompose_and_oracle_match_the_brauer_reference(case):
+    name, (lam, mu) = case
+    rs = root_system(name)
+    want = oracles.tensor_reference(rs.cartan, lam, mu)
+    assert _as_plain(finchar.tensor_decompose(rs, lam, mu)) == want
+    assert _as_plain(finchar.tensor_oracle(rs, lam, mu)) == want
+
+
 @pytest.mark.parametrize("rs,lam,mu,drop,mult,match", [
     # a lost weight: the top orbit empties at the top but not elsewhere
     (A2, [1, 1], [1, 0], (0, 0), 0, "not Weyl-invariant"),
@@ -277,8 +324,9 @@ def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):
 def test_each_character_is_walked_once(monkeypatch):
     # decompose reads chi_mu; the oracle reads chi_lam, chi_mu and the plan of
     # lam + mu; weight_multiplicities reads chi_lam again.  Three walks below a
-    # highest weight (lam, mu, lam + mu), one orbit walk per dominant weight
-    # under each (4 + 2 + 11) and one of rho for the plan's signed sums.
+    # highest weight (lam, mu, lam + mu), one orbit walk per distinct dominant
+    # weight under any of them (the 4 under lam hold the 2 under mu, and 11
+    # lie under lam + mu: 15 orbits) and one of rho for the plan's signed sums.
     for obj in vars(finchar).values():
         if getattr(obj, "__module__", None) == finchar.__name__ and hasattr(obj, "cache_clear"):
             obj.cache_clear()
@@ -295,10 +343,21 @@ def test_each_character_is_walked_once(monkeypatch):
     count(weyl, "_descend")
     count(finchar, "_dominant_below")
     lam, mu = Weight([2, 1]), Weight([1, 1])
-    finchar.tensor_decompose(B2, lam, mu)
-    finchar.tensor_oracle(B2, lam, mu)
-    finchar.weight_multiplicities(B2, lam)
-    assert calls == {"_descend": 18, "_dominant_below": 3}
+
+    def sequence():
+        finchar.tensor_decompose(B2, lam, mu)
+        finchar.tensor_oracle(B2, lam, mu)
+        finchar.weight_multiplicities(B2, lam)
+
+    sequence()
+    assert calls == {"_descend": 16, "_dominant_below": 3}
+    # with the orbits warm, rebuilding the characters and the plan walks no
+    # orbit again: the one walk left is the plan's rho-walk under lam + mu
+    finchar._character.cache_clear()
+    finchar._product_plan.cache_clear()
+    calls.update(_descend=0, _dominant_below=0)
+    sequence()
+    assert calls == {"_descend": 1, "_dominant_below": 3}
 
 
 def test_oracle_dimension_guard():

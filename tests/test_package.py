@@ -62,8 +62,9 @@ CACHES = {
     "affine._alcove_rep_coords": 200_000,
     "affine._alcove_weights": 4096,
     "affine._theta_reflection": None,
-    "finchar._character": None,
-    "finchar._dim": None,
+    "finchar._character": 4096,
+    "finchar._dim": 4096,
+    "finchar._orbit": 4096,
     "finchar._product_plan": 4096,
     "finchar._root_data": None,
     "rootsys._build_root_system": None,
