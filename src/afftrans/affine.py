@@ -14,6 +14,7 @@ the wall ``(lam + rho, theta) = p``.
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -109,8 +110,8 @@ def _residue(rs: RootSystem, wt: Weight, p: int) -> tuple:
 
 
 def identity_element(rank: int) -> AffineWeylElement:
-    if _as_instance(rank, int, "rank") <= 0:
-        raise DomainError(f"rank {rank} is not positive")
+    if not 0 < _as_instance(rank, int, "rank") <= sys.maxsize:  # a tuple's largest length
+        raise DomainError(f"rank {rank} is {'not positive' if rank <= 0 else 'too large'}")
     return AffineWeylElement(Weight.zero(rank), IDENTITY)
 
 

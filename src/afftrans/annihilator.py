@@ -4,7 +4,7 @@ Submodules of a Weyl module are tracked only through the labels of their
 singular generators: affine Weyl group elements whose dot image of the base
 weight is dominant.  Transport re-bases a label set along the translation
 functor, generator by generator, re-deriving each image through the
-filtration check.
+survivor search of :mod:`translate`.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     """Re-base a label set from 0 to ``lam`` along the translation functor.
 
     Every generator is pushed through :func:`translate.translate_weyl`, so
-    each image is certified by the single-survivor filtration check; a
-    failure there propagates as an internal-inconsistency error.  The
+    each image is certified by its single-survivor check; a failure there
+    propagates as an internal-inconsistency error.  The
     generator set itself is carried over unchanged, so inclusions of label
     sets are preserved verbatim.
     """

@@ -36,6 +36,11 @@ def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
             f"dimension product {product} exceeds cap {cap}")
 
 
+def _check_mass(rs: RootSystem, lam: Weight, mu: Weight, mass: int) -> None:
+    if mass != _dim(rs, lam) * _dim(rs, mu):
+        raise InternalInconsistencyError(f"tensor mass mismatch for {lam} x {mu}")
+
+
 @lru_cache(maxsize=4096)
 def _dim(rs: RootSystem, lam: Weight) -> int:
     num = den = 1
@@ -160,25 +165,13 @@ def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dic
     return dict(_character(rs, lam)[0])
 
 
-def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
-    """Decomposition multiplicities {nu: (V_lam ply V_mu : V_nu)}.
-
-    Signed-reflection rule: for every weight nu' of the smaller factor,
-    dot-reflect lam + nu' into the dominant chamber, with the sign of the
-    walk's length; points on a chamber wall contribute nothing.  Singularity
-    is Weyl-invariant, so a walk that touches a wall also ends on one.  Only
-    a shifted point lam + nu' + rho with a negative coordinate is walked: with
-    none it is dominant, and regular unless a coordinate is 0.
-    """
-    lam = _as_weight(rs, lam, dominant=True)
-    mu = _as_weight(rs, mu, dominant=True)
-    _guard(rs, lam, mu, cap)
-    if _dim(rs, mu) > _dim(rs, lam):
-        lam, mu = mu, lam  # the rule sums over the smaller character
-    lam_rho = [c + 1 for c in lam]
-    shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
-    for nu_prime, m in _character(rs, mu)[0]:
-        x = tuple(map(add, lam_rho, nu_prime))
+def _fold(rs: RootSystem, top: Weight, lower: Weight):
+    """(x, m) per weight nu' of V_lower: x = top + nu' + rho walked into the dominant chamber,
+    m its multiplicity signed by the walk's parity (Racah-Speiser/Klimyk).  A point on a wall
+    is dropped; singularity is W-invariant, so only a point with a negative coordinate is walked."""
+    top_rho = [c + 1 for c in top]
+    for nu_prime, m in _character(rs, lower)[0]:
+        x = tuple(map(add, top_rho, nu_prime))
         low = min(x)
         if low < 0:
             letters: list[int] = []
@@ -187,15 +180,25 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
             if len(letters) % 2:
                 m = -m
         if low:  # else on a wall: contributes 0
-            shifted[x] = shifted.get(x, 0) + m
+            yield x, m
+
+
+def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
+    """Decomposition multiplicities {nu: (V_lam ply V_mu : V_nu)}: the signed
+    reflections of :func:`_fold` over the weights of the smaller factor, summed."""
+    lam = _as_weight(rs, lam, dominant=True)
+    mu = _as_weight(rs, mu, dominant=True)
+    _guard(rs, lam, mu, cap)
+    if _dim(rs, mu) > _dim(rs, lam):
+        lam, mu = mu, lam  # the rule sums over the smaller character
+    shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
+    for x, m in _fold(rs, lam, mu):
+        shifted[x] = shifted.get(x, 0) + m
     out = {Weight(c - 1 for c in x): v for x, v in shifted.items() if v}
     if any(v < 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")
-    mass = sum(v * _dim(rs, nu) for nu, v in out.items())
-    if mass != _dim(rs, lam) * _dim(rs, mu):
-        raise InternalInconsistencyError(
-            f"tensor mass mismatch for {lam} x {mu}")
+    _check_mass(rs, lam, mu, sum(v * _dim(rs, nu) for nu, v in out.items()))
     return dict(sorted(out.items()))
 
 

@@ -1,10 +1,10 @@
 """Translation between linkage classes, on labels and on characters.
 
-A translation step is encoded combinatorially: tensor with the module whose
-extreme weight is the dominant representative of ``lam - mu``, then project
-onto the linkage class of the target.  On labels this sends ``g . mu`` to
-``g . lam``; every public operation that claims this re-derives it through
-the filtration and refuses to answer if the survivor is not unique.
+A translation step is Jantzen's ``pr_lam(V_tau x -)``, with V_tau the module
+whose extreme weight is the dominant representative of ``lam - mu``.  On
+labels it sends ``g . mu`` to ``g . lam``; every public operation that claims
+this re-derives it by one survivor search over the weights of V_tau and
+refuses to answer if the survivor is not unique.
 
 Characters over a linkage class are stored in the Weyl basis: a base weight
 strictly inside the fundamental alcove plus integer coefficients keyed by
@@ -69,24 +69,46 @@ def kl_weyl_filtration(rs: RootSystem, lam, mu, *,
     return finchar.tensor_decompose(rs, lam, mu, cap=cap)
 
 
+def _linked_to(rs: RootSystem, target, p: int):
+    """Whether coordinates are linked to ``target`` at ``p``: the one linkage filter."""
+    rep = affine._alcove_rep_coords(rs, tuple(target), p)
+    return lambda coords: affine._alcove_rep_coords(rs, coords, p) == rep
+
+
 def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
     """Keep exactly the keys linked to ``target``; multiplicities unchanged."""
     _as_instance(parts, dict, "parts")
-    # Validate and look up the target once, not once per key as ``linked`` would.
-    tgt, p = _as_alcove_weight(rs, target, level, "target"), level.p
-    rep = affine._alcove_rep_coords(rs, tuple(tgt), p)
+    linked = _linked_to(rs, _as_alcove_weight(rs, target, level, "target"), level.p)
     return {nu: m for nu, m in parts.items()
-            if affine._alcove_rep_coords(
-                rs, tuple(_as_weight(rs, nu, "key", integral=True)), p) == rep}
+            if linked(tuple(_as_weight(rs, nu, "key", integral=True)))}
+
+
+def _survivors(rs: RootSystem, tau: Weight, start: Weight, target, p: int, cap: int,
+               verma: bool) -> dict:
+    """``pr_target(V_tau x V_start)``, of ``V_tau x M_start`` when ``verma``, by sorted weight:
+    start + nu for each weight nu of V_tau (folded by :func:`finchar._fold` unless ``verma``),
+    summed only if linked to ``target`` (closed alcove at ``p``).  The mass counts every term."""
+    if verma:
+        terms = ((start + x, m) for x, m in finchar.weight_multiplicities(rs, tau, cap=cap).items())
+    else:
+        finchar._guard(rs, tau, start, cap)
+        terms = ((tuple(c - 1 for c in x), m) for x, m in finchar._fold(rs, start, tau))
+    linked, kept, mass = _linked_to(rs, target, p), {}, 0
+    for x, m in terms:
+        mass += m * finchar._dim(rs, x)
+        if linked(x):
+            kept[x] = kept.get(x, 0) + m
+    finchar._check_mass(rs, tau, start, mass)
+    return {Weight(x): m for x, m in sorted(kept.items()) if m}
 
 
 def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
                    level: Level, *, cap: int = finchar.DEFAULT_CAP) -> Weight:
     """Image of the Weyl-module label ``g . mu`` under translation to ``lam``.
 
-    Returns ``g . lam`` only after re-deriving it: the projection of the
-    tensor filtration onto the target class must contain exactly that label,
-    with multiplicity one.  Each argument is checked once: ``mu``, ``lam``,
+    Returns ``g . lam`` only after re-deriving it: the part of the tensor
+    product linked to ``lam`` must be exactly that label, with multiplicity
+    one.  Each argument is checked once: ``mu``, ``lam``,
     then ``g`` (lattice, then letters), then the dominance of ``g . mu``.
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
@@ -97,15 +119,14 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
 def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
                cap: int = finchar.DEFAULT_CAP, verma: bool = False) -> Weight:
     """:func:`translate_weyl` (:func:`translate_verma` when ``verma``) for checked ``mu``, ``lam``:
-    ``g . lam``, once ``{g . lam: 1}`` is all of the filtration linked to ``lam``."""
+    ``g . lam``, once ``{g . lam: 1}`` is all that :func:`_survivors` keeps."""
     g = affine._as_group_element(rs, g, level)
     start = affine._dot(rs, g, mu)
     if not (verma or start.is_dominant):
         raise DomainError(f"g.mu {start} is not dominant integral")
     expected = affine._dot(rs, g, lam)
     tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
-    parts = (verma_filtration if verma else kl_weyl_filtration)(rs, tau, start, cap=cap)
-    survivors = project_linkage(rs, parts, lam, level)
+    survivors = _survivors(rs, tau, start, lam, level.p, cap, verma)
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
             f"{'Verma translation' if verma else 'translation'} of {start} to the class of {lam} "
@@ -252,8 +273,8 @@ def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,
     """Image of the Verma label ``g . mu`` under translation to ``lam``.
 
     Unlike :func:`translate_weyl` there is no dominance requirement on
-    ``g . mu``; the survivor search intersects the Verma filtration with the
-    full dot orbit of ``lam``.
+    ``g . mu``; the survivor search keeps the weights ``g . mu + nu`` of
+    ``V_tau x M_{g . mu}`` that lie in the full dot orbit of ``lam``, unfolded.
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)

@@ -681,3 +681,9 @@ def test_identity_element_of_a_non_rank_is_domain_error():
 def test_identity_element_of_a_non_positive_int_is_domain_error(bad, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         identity_element(bad)
+
+
+def test_identity_element_of_a_rank_beyond_any_tuple_is_domain_error():
+    # refused on the bound, before a tuple of zeros is asked for
+    with pytest.raises(DomainError, match=f"^rank {10 ** 30} is too large$"):
+        identity_element(10 ** 30)

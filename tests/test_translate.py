@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -592,3 +593,119 @@ def test_translate_weyl_lands_on_the_dot_image(data):
     except DimensionCapError:
         return
     assert got == affine.affine_apply(rs, g, lam, level) == _dot_formula(rs, g, lam)
+
+
+# ---------------------------------------------------------------------------
+# the survivor search pr_target(V_tau x -) against the filtration it replaced,
+# projected onto the target's class
+
+SURVIVOR_CAP = 3000
+_CLOSED_ALCOVES: dict = {}
+
+
+def _closed_alcove(rs, level):
+    """Every integral weight of the closed fundamental alcove, walls included."""
+    key = (rs.spec, level.p)
+    if key not in _CLOSED_ALCOVES:
+        _CLOSED_ALCOVES[key] = [
+            Weight(c) for c in itertools.product(range(-1, level.p), repeat=rs.rank)
+            if affine.in_fundamental_alcove(rs, c, level, strict=False)]
+    return _CLOSED_ALCOVES[key]
+
+
+def _projected_filtration(rs, tau, start, target, level, verma):
+    parts = (translate.verma_filtration if verma else translate.kl_weyl_filtration)(
+        rs, tau, start, cap=SURVIVOR_CAP)
+    if affine.in_fundamental_alcove(rs, target, level):
+        return translate.project_linkage(rs, parts, target, level)
+    # a target on a wall, which project_linkage refuses
+    return {nu: m for nu, m in parts.items() if affine.linked(rs, nu, target, level)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_survivor_search_is_the_projected_filtration(data):
+    rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 5)), 1)
+    verma = data.draw(st.booleans())
+    coords = st.lists(st.integers(-4 if verma else 0, 4), min_size=rs.rank, max_size=rs.rank)
+    tau = Weight(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    start = Weight(data.draw(coords))
+    # half inside the alcove, half from the closed alcove, where most points lie on a wall
+    target = data.draw(st.sampled_from(affine.enumerate_dominant(rs, level))
+                       | st.sampled_from(_closed_alcove(rs, level)))
+    try:
+        expected = _projected_filtration(rs, tau, start, target, level, verma)
+    except DimensionCapError as refusal:
+        with pytest.raises(DimensionCapError, match=f"^{re.escape(str(refusal))}$"):
+            translate._survivors(rs, tau, start, target, level.p, SURVIVOR_CAP, verma)
+        return
+    got = translate._survivors(rs, tau, start, tuple(target), level.p, SURVIVOR_CAP, verma)
+    assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("verma,target,kept", [
+    # V_[2] x V_[4] = V_[2] + V_[4] + V_[6] on A1 at 5/1
+    (False, [2], {Weight([2]): 1, Weight([6]): 1}),
+    (False, [4], {Weight([4]): 1}),  # on the wall (x + rho, theta) = p
+    (False, [0], {}),
+    # V_[2] x M_[0]: Verma factors at [-2], [0] and [2]
+    (True, [0], {Weight([-2]): 1, Weight([0]): 1}),
+    (True, [-1], {}),  # on the wall x + rho = 0
+    (True, [2], {Weight([2]): 1})])
+def test_survivor_search_keeps_several_one_or_no_terms(verma, target, kept):
+    start = Weight([0]) if verma else Weight([4])
+    got = translate._survivors(A1, Weight([2]), start, tuple(target), 5, SURVIVOR_CAP, verma)
+    assert got == kept == _projected_filtration(A1, Weight([2]), start, Weight(target), P5, verma)
+
+
+def test_translate_weyl_checks_the_mass_of_every_term(monkeypatch):
+    # V_[1,0] x V_[3,3] on A2 at 5/1 keeps only [3,2] in the class of [1,0]; the
+    # term [4,3], from the weight [1,0] of V_tau, is not linked, so doubling that
+    # multiplicity leaves the survivors alone and only the mass check sees it
+    real = finchar._character
+
+    def one_multiplicity_off(rs_, wt):
+        pairs, cells = real(rs_, wt)
+        if wt == Weight([1, 0]):
+            pairs = tuple((x, m + (x == wt)) for x, m in pairs)
+        return pairs, cells
+
+    g = affine.theta_wall_reflection(A2, P5)
+    assert translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
+    monkeypatch.setattr(finchar, "_character", one_multiplicity_off)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^tensor mass mismatch for \[1,0\] x \[3,3\]$"):
+        translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
+
+
+def test_translation_refusals_keep_their_texts():
+    g2, p8 = root_system("G2"), Level(8, 1)
+    g = AffineWeylElement(Weight([0, 8]), IDENTITY)  # 0 -> [0,8], of dimension 11,571
+    # dim V_[2,1] = 189: the refusal is on the product of the two dimensions
+    message = "^dimension product 2186919 exceeds cap 1000000$"
+    with pytest.raises(DimensionCapError, match=message):
+        translate.translate_weyl(g2, g, Weight([0, 0]), Weight([2, 1]), p8)
+    labels = annihilator.make_labels(g2, Weight([0, 0]), [g], p8)
+    with pytest.raises(DimensionCapError, match=message):
+        annihilator.transport(g2, labels, Weight([2, 1]))
+    # the Verma translation is refused on dim V_tau alone
+    with pytest.raises(DimensionCapError, match="^dimension 3 exceeds cap 2$"):
+        translate.translate_verma(A2, affine.identity_element(2), Weight([0, 0]),
+                                  Weight([1, 0]), P5, cap=2)
+
+
+def test_translations_build_no_filtration(monkeypatch):
+    calls = []
+    for name in ("tensor_decompose", "kl_weyl_filtration", "verma_filtration",
+                 "project_linkage"):
+        _record_calls(monkeypatch, name, calls)
+    g, zero, lam = affine.theta_wall_reflection(A2, P5), Weight([0, 0]), Weight([1, 0])
+    assert translate.translate_weyl(A2, g, zero, lam, P5) == Weight([3, 2])
+    assert translate.translate_verma(A2, g, zero, lam, P5) == Weight([3, 2])
+    labels = annihilator.make_labels(A2, zero, [g], P5)
+    assert annihilator.transport(A2, labels, lam).base == lam
+    assert calls == []
+    translate.project_linkage(A2, translate.kl_weyl_filtration(A2, lam, zero), lam, P5)
+    assert [name for name, _ in calls] == [
+        "kl_weyl_filtration", "tensor_decompose", "project_linkage"]
