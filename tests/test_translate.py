@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -600,17 +601,13 @@ def test_translate_weyl_lands_on_the_dot_image(data):
 # projected onto the target's class
 
 SURVIVOR_CAP = 3000
-_CLOSED_ALCOVES: dict = {}
 
 
+@functools.cache
 def _closed_alcove(rs, level):
     """Every integral weight of the closed fundamental alcove, walls included."""
-    key = (rs.spec, level.p)
-    if key not in _CLOSED_ALCOVES:
-        _CLOSED_ALCOVES[key] = [
-            Weight(c) for c in itertools.product(range(-1, level.p), repeat=rs.rank)
+    return [Weight(c) for c in itertools.product(range(-1, level.p), repeat=rs.rank)
             if affine.in_fundamental_alcove(rs, c, level, strict=False)]
-    return _CLOSED_ALCOVES[key]
 
 
 def _projected_filtration(rs, tau, start, target, level, verma):
@@ -659,10 +656,12 @@ def test_survivor_search_keeps_several_one_or_no_terms(verma, target, kept):
     assert got == kept == _projected_filtration(A1, Weight([2]), start, Weight(target), P5, verma)
 
 
-def test_translate_weyl_checks_the_mass_of_every_term(monkeypatch):
-    # V_[1,0] x V_[3,3] on A2 at 5/1 keeps only [3,2] in the class of [1,0]; the
-    # term [4,3], from the weight [1,0] of V_tau, is not linked, so doubling that
-    # multiplicity leaves the survivors alone and only the mass check sees it
+@pytest.mark.parametrize("translation", [translate.translate_weyl, translate.translate_verma])
+def test_translations_check_the_mass_of_every_term(monkeypatch, translation):
+    # V_[1,0] x V_[3,3] (or M_[3,3]) on A2 at 5/1 keeps only [3,2] in the class of
+    # [1,0]; the term [4,3], from the weight [1,0] of V_tau, is not linked, so
+    # doubling that multiplicity leaves the survivors alone and only the mass
+    # check sees it
     real = finchar._character
 
     def one_multiplicity_off(rs_, wt):
@@ -672,11 +671,11 @@ def test_translate_weyl_checks_the_mass_of_every_term(monkeypatch):
         return pairs, cells
 
     g = affine.theta_wall_reflection(A2, P5)
-    assert translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
+    assert translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
     monkeypatch.setattr(finchar, "_character", one_multiplicity_off)
     with pytest.raises(InternalInconsistencyError,
                        match=r"^tensor mass mismatch for \[1,0\] x \[3,3\]$"):
-        translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
+        translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
 
 
 def test_translation_refusals_keep_their_texts():
