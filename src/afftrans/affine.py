@@ -20,7 +20,8 @@ from math import gcd
 
 from . import weyl
 from .errors import DomainError, InexactCoordinateError, IterationLimitError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, root_coords
+from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _Frozen, _root_numerator,
+                      root_coords)
 from .weyl import IDENTITY, WeylElement
 
 _ALCOVE_WALK_CAP = 10 ** 6
@@ -104,9 +105,11 @@ def _as_group_element(rs: RootSystem, g, level: Level | None = None,
 
 
 def _residue(rs: RootSystem, wt: Weight, p: int) -> tuple:
-    """Root coordinates of ``wt`` mod ``p``: two weights differ by an element
-    of ``pQ`` iff their residues agree, and ``wt`` is in ``pQ`` iff all are 0."""
-    return tuple(c % p for c in root_coords(rs, wt))
+    """Root coordinates of ``wt`` mod ``p``, as numerators over ``rs.inv_cartan_den``:
+    two weights differ by an element of ``pQ`` iff their residues agree, and
+    ``wt`` is in ``pQ`` iff all are 0.  ``wt`` is not checked."""
+    modulus = p * rs.inv_cartan_den
+    return tuple(num % modulus for num in _root_numerator(rs, wt))
 
 
 def identity_element(rank: int) -> AffineWeylElement:

@@ -84,11 +84,13 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
     generator set itself is carried over unchanged, so inclusions of label
     sets are preserved verbatim.
     """
-    return _transport(rs, labels, lam)[0]
+    from .finchar import DEFAULT_CAP  # loaded with translate, for transport alone
+    return _transport(rs, labels, lam, DEFAULT_CAP)[0]
 
 
-def _transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> tuple[SubmoduleLabels, dict]:
-    """:func:`transport` and the image ``g . lam`` of every generator ``g``."""
+def _transport(rs: RootSystem, labels: SubmoduleLabels, lam,
+               cap: int) -> tuple[SubmoduleLabels, dict]:
+    """:func:`transport` under ``cap``, and the image ``g . lam`` of every generator ``g``."""
     from . import translate  # with finchar: loaded for transport alone
     zero = Weight.zero(rs.rank)
     if _as_instance(labels, SubmoduleLabels, "labels").base != zero:
@@ -97,6 +99,6 @@ def _transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> tuple[SubmoduleL
     # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.
     _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
-    images = {g: translate._translate(rs, g, zero, lam, labels.level)
+    images = {g: translate._translate(rs, g, zero, lam, labels.level, cap)
               for g in labels.generators}
     return SubmoduleLabels(base=lam, level=labels.level, generators=labels.generators), images

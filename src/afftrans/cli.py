@@ -345,10 +345,11 @@ def _cmd_generator(args, rs: RootSystem, level) -> int:
 
 def _cmd_transport(args, rs: RootSystem, level) -> int:
     from . import annihilator, translate
+    cap = _resolve_cap(args)
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
-    _, images = annihilator._transport(rs, labels, args.to)
+    _, images = annihilator._transport(rs, labels, args.to, cap)
     rows = [[("g", _element_text(rs, g)), ("image", images[g])]
             for g in translate._in_order(rs, images)]
     return _emit(rows, args.format)

@@ -23,7 +23,8 @@ from struct import calcsize
 
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _form_numerator, root_coords
+from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _form_numerator,
+                      _root_numerator, root_coords)
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
@@ -213,8 +214,8 @@ def _product_plan(rs: RootSystem, top: Weight) -> tuple:
     below = _dominant_below(rs, top)
     shape = [max(axis) + 1 for axis in zip(*(d for _, d in _orbit(rs, top)))]  # to w0(top)
     strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
-    terms = [(d, sum(map(mul, d, strides)), eps) for _, d, eps in
-             weyl._descend(rs, rs.rho, tuple(int(c) for c in root_coords(rs, top)))]
+    floor = tuple(num // rs.inv_cartan_den for num in _root_numerator(rs, top))  # root coords
+    terms = [(d, sum(map(mul, d, strides)), eps) for _, d, eps in weyl._descend(rs, rs.rho, floor)]
     cells, heads, signed, bounds = [], [], ([], []), ([0], [0])
     for drop, nu in below:
         at, orbit = sum(map(mul, drop, strides)), _orbit(rs, nu)

@@ -13,7 +13,7 @@ import functools
 import re
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import DomainError, InexactCoordinateError, InvalidRootSystemError
 
@@ -250,22 +250,6 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
-    """d_i = (alpha_i, alpha_i)/2 with d_i a_ij = d_j a_ji, normalised to max 1."""
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                stack.append(j)
-    top = max(d)  # type: ignore[type-var]
-    return [x / top for x in d]  # type: ignore[operator]
-
-
 def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(matrix)
@@ -335,19 +319,24 @@ class RootSystem(_Frozen, compared=15, shown=9):
         return str(self.spec)
 
 
-def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple[Weight, tuple[int, ...]]]:
-    """All positive roots as (fundamental coords, root-basis coords), by height:
-    the simple roots under every simple reflection that raises a root (the
-    twin of :func:`weyl._descend`), since a non-simple positive root has a
-    simple reflection that lowers it to a positive root."""
+def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple]:
+    """All positive roots as (fundamental coords, root-basis coords, coroot
+    coords in the simple coroots), by height: the simple roots under every
+    simple reflection that raises a root (the twin of :func:`weyl._descend`),
+    since a non-simple positive root has a simple reflection that lowers it to
+    a positive root.  ``s_i`` sends ``alpha`` to ``alpha - <alpha, alpha_i^vee>
+    alpha_i`` and ``alpha^vee`` to ``alpha^vee - <alpha_i, alpha^vee>
+    alpha_i^vee``, so both coordinate vectors take integer steps."""
     cols = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
-    roots = level = {cols[j]: tuple(int(i == j) for i in range(rank)) for j in range(rank)}
+    unit = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    roots = level = {cols[j]: (unit[j], unit[j]) for j in range(rank)}
     while level:
         level = {tuple(a - c * b for a, b in zip(alpha, cols[i])):
-                 rc[:i] + (rc[i] - c,) + rc[i + 1:]
-                 for alpha, rc in level.items() for i, c in enumerate(alpha) if c < 0}
+                 (rc[:i] + (rc[i] - c,) + rc[i + 1:],
+                  cc[:i] + (cc[i] - sum(map(mul, cc, cols[i])),) + cc[i + 1:])
+                 for alpha, (rc, cc) in level.items() for i, c in enumerate(alpha) if c < 0}
         roots.update(level)
-    return sorted(((Weight(alpha), rc) for alpha, rc in roots.items()),
+    return sorted(((Weight(alpha), rc, cc) for alpha, (rc, cc) in roots.items()),
                   key=lambda item: (sum(item[1]), item[0]))
 
 
@@ -360,38 +349,22 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
 def _build_root_system(spec: RootSystemSpec) -> RootSystem:
     n = spec.rank
     cartan = _cartan_matrix(spec.series, spec.rank)
-    d = _symmetrizer(cartan)
+    roots, root_rows, coroot_rows = zip(*_positive_root_closure(cartan, n))
+    theta = roots[-1]
+    assert theta.is_dominant and sum(root_rows[-1]) == max(map(sum, root_rows))
+    # theta^vee = sum_j (rc_j d_j / d_theta) alpha_j^vee with d_j = (alpha_j, alpha_j)/2
+    # and d_theta = 1, and every simple root is in the support of theta
+    d = [Fraction(c, r) for c, r in zip(coroot_rows[-1], root_rows[-1])]
     inv = _invert(cartan)
     # form[i][j] = (omega_i, omega_j) = inv_cartan[j][i] * d_j
     form = [[inv[j][i] * d[j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            assert form[i][j] == form[j][i]
-
-    pos = _positive_root_closure(cartan, n)
-    theta, theta_rc = pos[-1]
-    assert theta.is_dominant and sum(theta_rc) == max(sum(rc) for _, rc in pos)
-
-    # Coroot of alpha = sum_j (r_j d_j / d_alpha) alpha_j^vee; always integral.
-    coroot_rows = []
-    for alpha, rc in pos:
-        d_alpha = sum(Fraction(rc[j]) * d[j] * cartan[j][k] * rc[k]
-                      for j in range(n) for k in range(n)) / 2
-        row = []
-        for j in range(n):
-            c = Fraction(rc[j]) * d[j] / d_alpha
-            assert c.denominator == 1
-            row.append(int(c))
-        coroot_rows.append(tuple(row))
-
-    rho = Weight((1,) * n)
-    dual_coxeter = 1 + sum(coroot_rows[-1])
+    assert all(form[i][j] == form[j][i] for i in range(n) for j in range(i))
 
     root_index = {}
-    for idx, (alpha, _) in enumerate(pos):
+    for idx, alpha in enumerate(roots):
         root_index[alpha] = idx
         root_index[-alpha] = ~idx  # bitwise-not marks the negative root
-    negative_root_set = frozenset(-alpha for alpha, _ in pos)
+    negative_root_set = frozenset(-alpha for alpha in roots)
     inv_den = lcm(*(x.denominator for row in inv for x in row))
     form_den = lcm(*(x.denominator for row in form for x in row))
 
@@ -400,17 +373,17 @@ def _build_root_system(spec: RootSystemSpec) -> RootSystem:
         cartan=tuple(tuple(row) for row in cartan),
         simple_roots=tuple(Weight(cartan[i][j] for i in range(n)) for j in range(n)),
         fundamental_weights=tuple(Weight(int(i == j) for i in range(n)) for j in range(n)),
-        positive_roots=tuple(alpha for alpha, _ in pos),
-        rho=rho,
+        positive_roots=roots,
+        rho=Weight((1,) * n),
         theta=theta,
-        dual_coxeter=dual_coxeter,
+        dual_coxeter=1 + sum(coroot_rows[-1]),  # 1 + height of theta^vee
         form=tuple(tuple(row) for row in form),
         inv_cartan=tuple(tuple(row) for row in inv),
         inv_cartan_int=tuple(tuple(int(x * inv_den) for x in row) for row in inv),
         inv_cartan_den=inv_den,
         form_int=tuple(tuple(int(x * form_den) for x in row) for row in form),
         form_den=form_den,
-        coroot_rows=tuple(coroot_rows),
+        coroot_rows=coroot_rows,
         root_index=root_index,
         negative_root_set=negative_root_set,
     )
@@ -469,12 +442,18 @@ def bilinear(rs: RootSystem, lam, mu) -> int | Fraction:
     return _divide(_form_numerator(rs, lam, mu), rs.form_den)
 
 
+def _root_numerator(rs: RootSystem, wt) -> tuple:
+    """``rs.inv_cartan_den`` times the simple-root coordinates of ``wt``
+    (``inv_cartan_int . wt``): integers for an integral weight.  The one
+    root-coordinate formula; ``wt`` is not checked."""
+    return tuple(sum(map(mul, row, wt)) for row in rs.inv_cartan_int)
+
+
 def root_coords(rs: RootSystem, wt) -> tuple:
-    """Coordinates of ``wt`` in the simple-root basis (exact rationals)."""
-    wt = _as_weight(rs, wt)
+    """Coordinates of ``wt`` in the simple-root basis (exact rationals): the
+    numerators of :func:`_root_numerator` over ``rs.inv_cartan_den``."""
     den = rs.inv_cartan_den
-    return tuple(_divide(sum(c * x for c, x in zip(row, wt) if x), den)
-                 for row in rs.inv_cartan_int)
+    return tuple(_divide(num, den) for num in _root_numerator(rs, _as_weight(rs, wt)))
 
 
 def pairing(rs: RootSystem, lam, alpha) -> int | Fraction:

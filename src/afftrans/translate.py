@@ -17,7 +17,7 @@ from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight, _residue
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
 from .rootsys import (RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen, _Record,
-                      root_coords)
+                      _root_numerator)
 
 
 class TranslationDatum(_Frozen):
@@ -201,8 +201,8 @@ class LinkageCharacter(_Record):
 
 
 def _in_order(rs: RootSystem, elements) -> list:
-    """Group elements by the root coordinates of the translation, then word."""
-    return sorted(elements, key=lambda g: (root_coords(rs, g.translation), g.finite.word))
+    """Group elements by the root coordinates of their translation (as numerators), then word."""
+    return sorted(elements, key=lambda g: (_root_numerator(rs, g.translation), g.finite.word))
 
 
 def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:

@@ -136,6 +136,62 @@ def root_coordinates(cartan, vec):
     return tuple(aug[i][n] for i in range(n))
 
 
+def symmetrizer(cartan) -> list[Fraction]:
+    """d_i = (alpha_i, alpha_i)/2: a breadth-first walk of the Dynkin diagram
+    solving d_i a_ij = d_j a_ji from d_0 = 1, normalised so long roots have 1."""
+    n = len(cartan)
+    d = [Fraction(1)] + [None] * (n - 1)
+    queue = [0]
+    for i in queue:  # grows while walked
+        for j in range(n):
+            if cartan[i][j] and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                queue.append(j)
+    return [x / max(d) for x in d]
+
+
+def positive_roots(cartan) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates, sorted by (height, coords),
+    by root strings: for a positive root beta other than alpha_i, the
+    alpha_i-string beta - r alpha_i, ..., beta + q alpha_i has
+    r - q = <beta, alpha_i^vee>, so beta + alpha_i is a root iff q > 0.  Every
+    root below beta is known when beta is reached, height by height."""
+    n = len(cartan)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, level = set(unit), unit
+    while level:
+        up = set()
+        for beta in level:
+            for i in range(n):
+                if beta == unit[i]:
+                    continue
+                r = 0
+                while tuple(b - (r + 1) * u for b, u in zip(beta, unit[i])) in roots:
+                    r += 1
+                if r - sum(cartan[i][j] * beta[j] for j in range(n)) > 0:
+                    up.add(tuple(b + u for b, u in zip(beta, unit[i])))
+        roots |= up
+        level = sorted(up)
+    return sorted(roots, key=lambda beta: (sum(beta), beta))
+
+
+def coroot(cartan, d, rc) -> tuple[int, ...]:
+    """Coordinates of alpha^vee in the simple coroots, for alpha with root
+    coordinates ``rc``: c_j = rc_j d_j / d_alpha, with d_alpha = (alpha, alpha)/2
+    and (alpha_j, alpha_k) = d_j a_jk."""
+    n = len(cartan)
+    d_alpha = sum(rc[j] * d[j] * cartan[j][k] * rc[k] for j in range(n) for k in range(n)) / 2
+    return _as_int_vector([rc[j] * d[j] / d_alpha for j in range(n)])
+
+
+def form_on_fundamental_weights(cartan, d) -> tuple[tuple[Fraction, ...], ...]:
+    """(omega_i, omega_j) = x_j d_j, with x the root coordinates of omega_i,
+    because (alpha_k, omega_j) = d_k delta_kj."""
+    n = len(cartan)
+    return tuple(tuple(x * d[j] for j, x in enumerate(
+        root_coordinates(cartan, [int(i == k) for k in range(n)]))) for i in range(n))
+
+
 def _as_int_vector(fractions_vec):
     assert all(f.denominator == 1 for f in fractions_vec), fractions_vec
     return tuple(int(f) for f in fractions_vec)

@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afftrans
 from afftrans import affine, annihilator, finchar, rootsys, translate, weyl
@@ -94,6 +96,46 @@ def test_affine_apply_rejects_off_lattice_translation():
     not_p_multiple = translation_element(A1, Weight([2]))  # alpha, but p = 5
     with pytest.raises(DomainError):
         affine.affine_apply(A1, not_p_multiple, Weight([0]), P5)
+
+
+LATTICE_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
+
+
+@st.composite
+def _lattice_weight(draw, rs, p):
+    """A weight in pQ, in Q, integral (often outside Q) or with fractional coordinates."""
+    kind = draw(st.sampled_from(["pQ", "Q", "integral", "fraction"]))
+    if kind == "fraction":
+        return Weight(draw(st.lists(st.fractions(-6, 6, max_denominator=6),
+                                    min_size=rs.rank, max_size=rs.rank)))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank))
+    if kind == "integral":
+        return Weight(coeffs)
+    scale = p if kind == "pQ" else 1
+    return sum((scale * c * alpha for c, alpha in zip(coeffs, rs.simple_roots)),
+               Weight.zero(rs.rank))
+
+
+def _in_pq(rs, wt, p):
+    return all(Fraction(c) % p == 0 for c in rootsys.root_coords(rs, wt))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_residues_read_the_lattice_pq(data):
+    rs = root_system(data.draw(st.sampled_from(LATTICE_TYPES)))
+    p = data.draw(st.integers(2, 9))
+    a = data.draw(_lattice_weight(rs, p))
+    b = a + data.draw(_lattice_weight(rs, p))  # a - b is in pQ about a quarter of the time
+    assert any(affine._residue(rs, a, p)) is not _in_pq(rs, a, p)
+    assert (affine._residue(rs, a, p) == affine._residue(rs, b, p)) is _in_pq(rs, a - b, p)
+
+
+def test_fractional_translation_refusal_keeps_its_text():
+    g = translation_element(A2, Weight([Fraction(1, 2), 0]))
+    message = "translation [1/2,0] is not in 5Q (root coords (Fraction(1, 3), Fraction(1, 6)))"
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        affine.affine_apply(A2, g, Weight([0, 0]), P5)
 
 
 def test_translation_lattice_coords():

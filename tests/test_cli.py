@@ -250,6 +250,31 @@ def test_cap_flag_beats_env_beats_default(capsys, monkeypatch):
     assert code == 2 and "AFFTRANS_CAP" in err
 
 
+G2_TRANSPORT = ("G2", "--level", "8/1", "--to", "[2,1]", "--generators", "t[24,16]")
+
+
+def test_transport_reads_the_cap_flag(capsys):
+    code, out, err = run(capsys, "transport", *G2_TRANSPORT, "--cap", "1000000000")
+    assert (code, out, err) == (0, "g=t[24,16] image=[2,9]\n", "")
+    code, out, _ = run(capsys, "translate-weyl", "G2", "--level", "8/1", "--element", "t[24,16]",
+                       "--from", "[0,0]", "--to", "[2,1]", "--cap", "1000000000")
+    assert (code, out) == (0, "image=[2,9]\n")  # the same element, weights and cap
+
+
+def test_transport_reads_the_cap_variable(capsys, monkeypatch):
+    monkeypatch.setenv("AFFTRANS_CAP", "1000000000")
+    code, out, err = run(capsys, "transport", *G2_TRANSPORT)
+    assert (code, out, err) == (0, "g=t[24,16] image=[2,9]\n", "")
+    monkeypatch.setenv("AFFTRANS_CAP", "banana")
+    code, out, err = run(capsys, "transport", *G2_TRANSPORT)
+    assert (code, out, err) == (2, "", "error: malformed AFFTRANS_CAP value 'banana'\n")
+
+
+def test_transport_keeps_the_default_cap_refusal(capsys):
+    code, out, err = run(capsys, "transport", *G2_TRANSPORT)
+    assert (code, out, err) == (1, "", "error: dimension product 2186919 exceeds cap 1000000\n")
+
+
 # ---------------------------------------------------------------------------
 # remaining commands
 

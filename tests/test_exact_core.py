@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from afftrans.rootsys import (
     Weight,
     _invert,
@@ -56,6 +58,29 @@ def ref_bilinear(rs, lam, mu):
 
 def ref_pairing(rs, lam, alpha):
     return _norm(2 * Fraction(ref_bilinear(rs, lam, alpha)) / ref_bilinear(rs, alpha, alpha))
+
+
+# the dual Coxeter numbers of the tables (Kac, Infinite-dimensional Lie algebras, ch. 6)
+DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
+                "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get,
+                "F": lambda n: 9, "G": lambda n: 4}
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_coroots_dual_coxeter_and_form_match_the_reference(name):
+    rs = root_system(name)
+    cartan = oracles.cartan_matrix(name[0], rs.rank)
+    assert rs.cartan == cartan
+    d = oracles.symmetrizer(cartan)
+    roots = oracles.positive_roots(cartan)
+    fundamental = [Weight(sum(a * c for a, c in zip(row, rc)) for row in cartan) for rc in roots]
+    want = dict(zip(fundamental, (oracles.coroot(cartan, d, rc) for rc in roots)))
+    assert len(rs.positive_roots) == len(want) == oracles.positive_root_count(name[0], rs.rank)
+    assert dict(zip(rs.positive_roots, rs.coroot_rows)) == want
+    assert all(type(c) is int for row in rs.coroot_rows for c in row)
+    assert rs.theta == fundamental[-1]
+    assert rs.dual_coxeter == 1 + sum(want[rs.theta]) == DUAL_COXETER[name[0]](rs.rank)
+    assert rs.form == oracles.form_on_fundamental_weights(cartan, d)
 
 
 @st.composite

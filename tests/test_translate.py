@@ -508,9 +508,10 @@ def test_precedence_table_covers_every_case_of_every_function():
 
 
 def _record_calls(monkeypatch, name, calls):
-    """Append ``(name, args)`` to ``calls`` on every call of the public function
-    ``name``, whichever afftrans module makes it."""
-    original = getattr(afftrans, name)
+    """Append ``(name, args)`` to ``calls`` on every call of the function ``name``,
+    public or (when it starts with ``_``) private to ``rootsys``, whichever afftrans
+    module makes it."""
+    original = getattr(rootsys if name.startswith("_") else afftrans, name)
 
     def recorded(*args, **kwargs):
         calls.append((name, args))
@@ -524,10 +525,10 @@ def _record_calls(monkeypatch, name, calls):
 def test_translate_weyl_checks_each_argument_once(monkeypatch):
     g = affine.theta_wall_reflection(A2, P5)  # translation [5,5]; sends 0 to [3,3]
     calls = []
-    for name in ("root_coords", "in_fundamental_alcove", "is_regular", "affine_apply"):
+    for name in ("_root_numerator", "in_fundamental_alcove", "is_regular", "affine_apply"):
         _record_calls(monkeypatch, name, calls)
     assert translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
-    assert [args for name, args in calls if name != "root_coords"] == []
+    assert [args for name, args in calls if name != "_root_numerator"] == []
     solves = [args[1] for _, args in calls]
     assert [wt for wt in solves if wt == g.translation] == [g.translation]
 
