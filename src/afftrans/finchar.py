@@ -9,7 +9,9 @@ character formula off the product — and is used to cross-check the fast path.
 All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
 and the standard library only.  Each dominant orbit is walked once per process
 (:func:`_orbit`), and each character is built once from those walks, then
-cached by :func:`_character` in the two layouts that its readers use.
+cached by :func:`_character` as sorted (weight, mult) pairs and as drop columns
+beside the multiplicities.  The walks' weights become ``Weight``s unchecked
+(``rootsys._trusted``): they are integers that this module computed itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from struct import calcsize
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
 from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _form_numerator,
-                      _root_numerator, root_coords)
+                      _root_numerator, _trusted, root_coords)
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
@@ -85,7 +87,7 @@ def _dominant_below(rs: RootSystem, lam: Weight):
                  for alpha, _, _, rc in _root_data(rs) if all(map(le, alpha, nu))}
         level = {drop: nu for drop, nu in level.items() if drop not in cells}
         cells.update(level)
-    return [(drop, Weight(nu)) for drop, nu in
+    return [(drop, _trusted(nu)) for drop, nu in
             sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))]
 
 
@@ -138,21 +140,20 @@ def _orbit(rs: RootSystem, nu: Weight) -> tuple:
     """(weight, drop) for every weight of W.nu, nu dominant, with drop =
     rc(nu - weight): one :func:`weyl._descend`, shared by every character and
     product plan that holds nu."""
-    return tuple((Weight(x), d) for x, d, _ in weyl._descend(rs, nu))
+    return tuple((_trusted(x), d) for x, d, _ in weyl._descend(rs, nu))
 
 
 @lru_cache(maxsize=4096)
 def _character(rs: RootSystem, lam: Weight) -> tuple:
     """The character of V_lam from one walk below lam and the orbit of each
-    dominant weight, in two layouts: (weight, mult) pairs sorted by weight,
-    and (drop, mult) cells with drop = rc(lam - weight)."""
+    dominant weight, in two layouts: (weight, mult) pairs sorted by weight, and
+    the columns of drop = rc(lam - weight), one per coordinate, then the mults."""
     pairs, cells = [], []
     for drop, nu, m in _freudenthal(rs, lam):
         for x, d in _orbit(rs, nu):
             pairs.append((x, m))
-            cells.append((tuple(map(add, drop, d)), m))
-    pairs.sort()
-    return tuple(pairs), tuple(cells)
+            cells.append((*map(add, drop, d), m))
+    return tuple(sorted(pairs)), tuple(zip(*cells))
 
 
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
@@ -195,7 +196,7 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
     shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
     for x, m in _fold(rs, lam, mu):
         shifted[x] = shifted.get(x, 0) + m
-    out = {Weight(c - 1 for c in x): v for x, v in shifted.items() if v}
+    out = {_trusted(c - 1 for c in x): v for x, v in shifted.items() if v}
     if any(v < 0 for v in out.values()):
         raise InternalInconsistencyError(
             f"negative tensor multiplicity for {lam} x {mu}")
@@ -256,17 +257,16 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
         _product_plan(rs, lam + mu)
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
-    grids = [tuple(zip(*_character(rs, wt)[1])) for wt in (lam, mu)]  # (drops, mults)
-    # No product cell exceeds the product of the two characters' masses.
-    largest = prod(sum(mults) for _, mults in grids)
+    grids = [_character(rs, wt)[1] for wt in (lam, mu)]  # (*drop columns, mults)
+    largest = prod(sum(grid[-1]) for grid in grids)  # the masses' product bounds every cell
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
     size = cells_in_box * calcsize(limb)
     product = 1
-    for drops, mults in grids:
+    for *columns, mults in grids:
         flat = repeat(0)  # drop . strides, summed one column of drops at a time
-        for column, stride in zip(zip(*drops), strides):
+        for column, stride in zip(columns, strides):
             flat = map(add, flat, map(mul, column, repeat(stride)))
         limbs = memoryview(bytearray(size)).cast(limb)
         any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None

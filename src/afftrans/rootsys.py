@@ -5,6 +5,9 @@ integers (rational matrices are kept scaled over one common denominator);
 ``fractions.Fraction`` appears only for non-integral weights, and no
 floating point is used anywhere.  Nodes are numbered as in Bourbaki and the
 invariant bilinear form is normalised so that long roots have squared length 2.
+``_trusted`` builds a ``Weight`` from ints without the check of ``Weight.__new__``: only
+in integer-only cores (finchar) that computed them, never where a rational may arrive
+(``affine._dot``, ``weyl.apply``), where ``Weight`` normalises ``Fraction(2, 1)`` to ``2``.
 """
 
 from __future__ import annotations
@@ -97,11 +100,13 @@ class Weight(tuple):
         return all(c >= 0 for c in self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(c) for c in self) + "]"
+        return f"[{','.join(map(str, self))}]"
 
-    def __repr__(self) -> str:
-        return f"Weight({str(self)!r})"
+    def __repr__(self) -> str:  # no coordinate's str holds a quote or a backslash
+        return f"Weight('[{','.join(map(str, self))}]')"
 
+
+_trusted = functools.partial(tuple.__new__, Weight)  # see the module docstring
 
 # Minimal ranks per series; C2 and D3 are admitted (they are valid simple
 # Cartan data, isomorphic to B2 and A3 respectively).

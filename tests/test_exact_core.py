@@ -137,3 +137,13 @@ def test_halves_sum_to_an_int():
     half = Weight([Fraction(1, 2), Fraction(-1, 2)])
     for got in (half + half, half - (-half), -(half * -2)):
         assert _same(got, [1, -1])
+
+
+@SETTINGS
+@given(system_and_weights())
+def test_weight_text_is_byte_identical_to_the_generator_formulas(case):
+    # str and repr against their formulas before ``map(str, ...)``, written out
+    for wt in case[1:] + (Weight([]), Weight([-10**20, Fraction(-7, 2), 0])):
+        old_str = "[" + ",".join(str(c) for c in wt) + "]"
+        assert str(wt) == old_str
+        assert repr(wt) == f"Weight({old_str!r})"

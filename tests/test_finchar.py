@@ -282,11 +282,11 @@ def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, d
     real = finchar._character
 
     def character_with_one_cell_changed(rs_, wt):
-        pairs, cells = real(rs_, wt)
-        cells = dict(cells)
+        pairs, (*columns, mults) = real(rs_, wt)
+        cells = dict(zip(zip(*columns), mults))
         if wt == Weight(mu):
             cells[drop] = mult
-        return pairs, tuple((d, m) for d, m in cells.items() if m)
+        return pairs, tuple(zip(*((*d, m) for d, m in cells.items() if m)))
 
     monkeypatch.setattr(finchar, "_character", character_with_one_cell_changed)
     with pytest.raises(InternalInconsistencyError, match=match):
@@ -297,7 +297,7 @@ def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, d
 def test_oracle_cell_width_follows_the_masses(monkeypatch, mult, fits):
     # a trivial grid of mass ``mult`` squared: one product cell, kept exact up
     # to a 64-bit limb and refused beyond it
-    monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), (((0,), mult),)))
+    monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), ((0,), (mult,))))
     zero = Weight([0])
     if fits:
         assert finchar.tensor_oracle(A1, zero, zero) == {zero: mult * mult}
@@ -371,6 +371,67 @@ def test_oracle_refuses_a_product_box_above_the_cap():
     with pytest.raises(DimensionCapError,
                        match=r"^product box of 14189175 cells exceeds cap 1000000$"):
         finchar.tensor_oracle(e8, e8.theta, Weight.zero(8))
+
+
+def test_plan_walks_rho_only_under_the_drops_of_the_top(monkeypatch):
+    # |W(E8)| = 696,729,600: the plan of E8 theta lists the 3,363 w(rho) whose
+    # drops lie under those of theta, and never walks the whole rho-orbit
+    e8, walked = root_system("E8"), []
+    real = weyl._descend
+
+    def bounded(rs, start, bound=None):
+        if start == rs.rho:
+            assert bound is not None, "unbounded rho-walk"
+            walked.append(len(real(rs, start, bound)))
+        return real(rs, start, bound)
+
+    monkeypatch.setattr(weyl, "_descend", bounded)
+    finchar._product_plan.__wrapped__(e8, e8.theta)
+    assert len(walked) == 1 and 0 < walked[0] < 10 ** 4
+
+
+TRUSTED_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
+
+
+@st.composite
+def _system_with_weights(draw):
+    """A root system, two small dominant weights and any integral weight."""
+    rs = root_system(draw(st.sampled_from(TRUSTED_TYPES)))
+    dominant = st.lists(st.integers(0, 2 if rs.rank < 3 else 1), min_size=rs.rank, max_size=rs.rank)
+    anywhere = st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank)
+    return rs, draw(dominant), draw(dominant), draw(anywhere)
+
+
+def _int_weights(weights):
+    return all(type(w) is Weight and all(type(c) is int for c in w) and w == Weight(tuple(w))
+               for w in weights)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_system_with_weights(), st.booleans())
+def test_every_weight_returned_has_int_coordinates(case, shifted):
+    # finchar builds its weights unchecked (rootsys._trusted); each must still
+    # be the Weight that the checked constructor gives
+    rs, lam, mu, wt = case
+    assert _int_weights(finchar.weight_multiplicities(rs, lam))
+    assert _int_weights(finchar.tensor_decompose(rs, lam, mu))
+    assert _int_weights(finchar.tensor_oracle(rs, lam, mu))
+    assert _int_weights(weyl.orbit(rs, wt, shifted=shifted))
+    assert _int_weights(weyl.dominant_rep(rs, wt, shifted=shifted)[:1])
+
+
+def test_a_warm_decompose_checks_no_weight_per_key(monkeypatch):
+    lam, mu = Weight([2, 1]), Weight([1, 1])
+    parts = finchar.tensor_decompose(B2, lam, mu)
+    real, built = Weight.__new__, []
+
+    def counted(cls, coords):
+        built.append(coords)
+        return real(cls, coords)
+
+    monkeypatch.setattr(Weight, "__new__", counted)
+    assert finchar.tensor_decompose(B2, lam, mu) == parts
+    assert len(parts) > 1 and built == []
 
 
 # ---------------------------------------------------------------------------
