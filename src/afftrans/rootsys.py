@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DomainError, InexactCoordinateError, InvalidRootSystemError
@@ -255,23 +255,6 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 class RootSystem(_Frozen, compared=15, shown=9):
     """Immutable root-system data; build with :func:`build_root_system`.
 
@@ -282,9 +265,9 @@ class RootSystem(_Frozen, compared=15, shown=9):
 
     The fields from ``inv_cartan`` on are derived lookup tables (the same
     data in other shapes, kept for speed) and are left out of the repr;
-    ``inv_cartan_int`` and ``form_int`` are ``inv_cartan`` and ``form``
-    scaled to integers (entry = int_entry / den).  Equality ignores
-    ``root_index`` and ``negative_root_set``.
+    ``inv_cartan``/``form`` are the ``Fraction`` views of the integer tables
+    ``inv_cartan_int``/``form_int`` over ``inv_cartan_den``/``form_den`` (in
+    lowest terms).  Equality ignores ``root_index`` and ``negative_root_set``.
     """
 
     __slots__ = ("spec", "cartan", "simple_roots", "fundamental_weights",
@@ -327,11 +310,12 @@ class RootSystem(_Frozen, compared=15, shown=9):
 def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple]:
     """All positive roots as (fundamental coords, root-basis coords, coroot
     coords in the simple coroots), by height: the simple roots under every
-    simple reflection that raises a root (the twin of :func:`weyl._descend`),
-    since a non-simple positive root has a simple reflection that lowers it to
-    a positive root.  ``s_i`` sends ``alpha`` to ``alpha - <alpha, alpha_i^vee>
+    simple reflection that raises a root (the twin of :func:`weyl._descend`;
+    a non-simple positive root has a simple reflection lowering it to a
+    positive root).  ``s_i`` sends ``alpha`` to ``alpha - <alpha, alpha_i^vee>
     alpha_i`` and ``alpha^vee`` to ``alpha^vee - <alpha_i, alpha^vee>
-    alpha_i^vee``, so both coordinate vectors take integer steps."""
+    alpha_i^vee``: integer steps.  The root coordinates feed the form's Gram
+    sum in :func:`build_root_system`; the coroot ones are the pairing rows."""
     cols = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
     unit = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     roots = level = {cols[j]: (unit[j], unit[j]) for j in range(rank)}
@@ -343,6 +327,12 @@ def _positive_root_closure(cartan: list[list[int]], rank: int) -> list[tuple]:
         roots.update(level)
     return sorted(((Weight(alpha), rc, cc) for alpha, (rc, cc) in roots.items()),
                   key=lambda item: (sum(item[1]), item[0]))
+
+
+def _scaled(rows: list, den: int) -> tuple[tuple, int]:
+    """The table ``rows / den`` in lowest terms: rows and den over their gcd."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
@@ -357,21 +347,21 @@ def _build_root_system(spec: RootSystemSpec) -> RootSystem:
     roots, root_rows, coroot_rows = zip(*_positive_root_closure(cartan, n))
     theta = roots[-1]
     assert theta.is_dominant and sum(root_rows[-1]) == max(map(sum, root_rows))
-    # theta^vee = sum_j (rc_j d_j / d_theta) alpha_j^vee with d_j = (alpha_j, alpha_j)/2
-    # and d_theta = 1, and every simple root is in the support of theta
-    d = [Fraction(c, r) for c, r in zip(coroot_rows[-1], root_rows[-1])]
-    inv = _invert(cartan)
-    # form[i][j] = (omega_i, omega_j) = inv_cartan[j][i] * d_j
-    form = [[inv[j][i] * d[j] for j in range(n)] for i in range(n)]
-    assert all(form[i][j] == form[j][i] for i in range(n) for j in range(i))
+    # The Killing form is 2h^vee times the form with (theta, theta) = 2 (Kac, ch. 6): the Gram
+    # sum g_ij of rc_i rc_j over alpha > 0 is h (s_i omega_i, s_j omega_j), where s_j = 2/(alpha_j,
+    # alpha_j) = rc_j(theta)/cc_j(theta); so g_ij/(s_j h) = inv_cartan[i][j] = s_i form[i][j]
+    h = 1 + sum(coroot_rows[-1])  # 1 + height of theta^vee
+    s = [r // c for r, c in zip(root_rows[-1], coroot_rows[-1])]
+    t, cols = lcm(*s), list(zip(*root_rows))
+    inv = [[sum(map(mul, a, b)) * (t // u) for b, u in zip(cols, s)] for a in cols]
+    inv_int, inv_den = _scaled(inv, t * h)
+    form_int, form_den = _scaled([[x * (t // u) for x in r] for r, u in zip(inv, s)], t * t * h)
 
     root_index = {}
     for idx, alpha in enumerate(roots):
         root_index[alpha] = idx
         root_index[-alpha] = ~idx  # bitwise-not marks the negative root
     negative_root_set = frozenset(-alpha for alpha in roots)
-    inv_den = lcm(*(x.denominator for row in inv for x in row))
-    form_den = lcm(*(x.denominator for row in form for x in row))
 
     return RootSystem(
         spec=spec,
@@ -381,12 +371,12 @@ def _build_root_system(spec: RootSystemSpec) -> RootSystem:
         positive_roots=roots,
         rho=Weight((1,) * n),
         theta=theta,
-        dual_coxeter=1 + sum(coroot_rows[-1]),  # 1 + height of theta^vee
-        form=tuple(tuple(row) for row in form),
-        inv_cartan=tuple(tuple(row) for row in inv),
-        inv_cartan_int=tuple(tuple(int(x * inv_den) for x in row) for row in inv),
+        dual_coxeter=h,
+        form=tuple(tuple(Fraction(x, form_den) for x in row) for row in form_int),
+        inv_cartan=tuple(tuple(Fraction(x, inv_den) for x in row) for row in inv_int),
+        inv_cartan_int=inv_int,
         inv_cartan_den=inv_den,
-        form_int=tuple(tuple(int(x * form_den) for x in row) for row in form),
+        form_int=form_int,
         form_den=form_den,
         coroot_rows=coroot_rows,
         root_index=root_index,

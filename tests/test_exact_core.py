@@ -1,24 +1,28 @@
 """Integer-scaled rootsys arithmetic against a plain Fraction reference.
 
 The library keeps the inverse Cartan matrix and the invariant form as
-integer matrices over one common denominator.  The reference here redoes
-every formula over ``Fraction`` from the Gauss-Jordan inverse and the
-public ``form``; results must agree in value and in type (``int`` exactly
-when the value is integral).
+integer matrices over one common denominator, read off a Gram sum over the
+positive roots.  The reference here redoes every formula over ``Fraction``:
+root coordinates by the Gauss-Jordan solve of ``oracles.root_coordinates``,
+the rest from the public ``form``, itself checked against the oracle's form
+built from the Dynkin-diagram symmetrizer.  Results must agree in value and
+in type (``int`` exactly when the value is integral).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from afftrans import rootsys
 from afftrans.rootsys import (
+    RootSystemSpec,
     Weight,
-    _invert,
     bilinear,
     coroot_pairings,
     pairing,
@@ -46,9 +50,7 @@ def _same(got, want) -> bool:
 
 
 def ref_root_coords(rs, wt):
-    inv = _invert([list(row) for row in rs.cartan])
-    return tuple(_norm(sum((Fraction(inv[i][j]) * wt[j] for j in range(rs.rank)), Fraction(0)))
-                 for i in range(rs.rank))
+    return tuple(map(_norm, oracles.root_coordinates(rs.cartan, wt)))
 
 
 def ref_bilinear(rs, lam, mu):
@@ -66,7 +68,11 @@ DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n
                 "F": lambda n: 9, "G": lambda n: 4}
 
 
-@pytest.mark.parametrize("name", TYPES)
+def _lowest_terms(table, den) -> bool:
+    return den > 0 and gcd(den, *(x for row in table for x in row)) == 1
+
+
+@pytest.mark.parametrize("name", TYPES + ["A12", "B10", "C10", "D12"])
 def test_coroots_dual_coxeter_and_form_match_the_reference(name):
     rs = root_system(name)
     cartan = oracles.cartan_matrix(name[0], rs.rank)
@@ -81,6 +87,32 @@ def test_coroots_dual_coxeter_and_form_match_the_reference(name):
     assert rs.theta == fundamental[-1]
     assert rs.dual_coxeter == 1 + sum(want[rs.theta]) == DUAL_COXETER[name[0]](rs.rank)
     assert rs.form == oracles.form_on_fundamental_weights(cartan, d)
+    # inv_cartan's column j is the root coordinates of omega_j
+    for j, omega in enumerate(rs.fundamental_weights):
+        assert [row[j] for row in rs.inv_cartan] == list(oracles.root_coordinates(cartan, omega))
+    for view, table, den in ((rs.inv_cartan, rs.inv_cartan_int, rs.inv_cartan_den),
+                             (rs.form, rs.form_int, rs.form_den)):
+        assert all(type(x) is Fraction for row in view for x in row)
+        assert view == tuple(tuple(Fraction(x, den) for x in row) for row in table)
+        assert _lowest_terms(table, den)
+
+
+@pytest.mark.parametrize("name", ["G2", "B8", "E8"])
+def test_datum_builds_no_fraction_beyond_its_two_views(name, monkeypatch):
+    """The datum is integer arithmetic: the only ``Fraction``s built are
+    the entries of the public ``inv_cartan`` and ``form`` views."""
+    calls, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    spec = RootSystemSpec.parse(name)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    rs = rootsys._build_root_system.__wrapped__(spec)  # bypasses the cache
+    monkeypatch.undo()
+    assert len(calls) <= 2 * spec.rank ** 2
+    assert rs == root_system(name) and rs is not root_system(name)
 
 
 @st.composite
