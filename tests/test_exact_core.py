@@ -68,10 +68,6 @@ DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n
                 "F": lambda n: 9, "G": lambda n: 4}
 
 
-def _lowest_terms(table, den) -> bool:
-    return den > 0 and gcd(den, *(x for row in table for x in row)) == 1
-
-
 @pytest.mark.parametrize("name", TYPES + ["A12", "B10", "C10", "D12"])
 def test_coroots_dual_coxeter_and_form_match_the_reference(name):
     rs = root_system(name)
@@ -94,7 +90,7 @@ def test_coroots_dual_coxeter_and_form_match_the_reference(name):
                              (rs.form, rs.form_int, rs.form_den)):
         assert all(type(x) is Fraction for row in view for x in row)
         assert view == tuple(tuple(Fraction(x, den) for x in row) for row in table)
-        assert _lowest_terms(table, den)
+        assert den > 0 and gcd(den, *(x for row in table for x in row)) == 1  # lowest terms
 
 
 @pytest.mark.parametrize("name", ["G2", "B8", "E8"])
