@@ -17,11 +17,12 @@ import functools
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 from . import weyl
 from .errors import DomainError, InexactCoordinateError, IterationLimitError
 from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _Frozen, _root_numerator,
-                      root_coords)
+                      _trusted, root_coords)
 from .weyl import IDENTITY, WeylElement
 
 _ALCOVE_WALK_CAP = 10 ** 6
@@ -152,9 +153,12 @@ def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Wei
 
 
 def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
-    """``g . lam`` for a checked ``g`` and ``lam``; letters are checked as they are applied."""
-    x = weyl._apply_word(rs, g.finite.word, [c + 1 for c in lam])
-    return Weight(c - 1 + t for c, t in zip(x, g.translation))
+    """``g . lam`` for ``g`` checked at a level and a checked ``lam``; letters are checked as
+    they are applied.  Unchecked from an integral ``lam`` and a ``Weight`` translation (in pQ, so
+    integral); else by ``Weight``, which stores a rational's ``Fraction(2, 1)`` as ``2``."""
+    x = weyl._apply_word(rs, g.finite.word, map(add, lam, rs.rho))
+    image = map(add, map(sub, x, rs.rho), g.translation)
+    return (_trusted if type(g.translation) is Weight and lam.is_integral else Weight)(image)
 
 
 def theta_wall_reflection(rs: RootSystem, level: Level) -> AffineWeylElement:
@@ -169,8 +173,7 @@ def _theta_reflection(rs: RootSystem) -> WeylElement:
 
 def _theta_height(rs: RootSystem, coords):
     """(x, theta) = <x, theta^vee> since theta is long."""
-    row = rs.coroot_rows[-1]
-    return sum(c * x for c, x in zip(row, coords) if c)
+    return sum(map(mul, rs.coroot_rows[-1], coords))
 
 
 def _inside(rs: RootSystem, shifted, p: int, strict: bool = True) -> bool:
@@ -181,7 +184,7 @@ def _inside(rs: RootSystem, shifted, p: int, strict: bool = True) -> bool:
 
 def _off_walls(rs: RootSystem, shifted, p: int) -> bool:
     """:func:`is_regular` for ``shifted = lam + rho``."""
-    return all(sum(c * x for c, x in zip(row, shifted) if c) % p for row in rs.coroot_rows)
+    return all(sum(map(mul, row, shifted)) % p for row in rs.coroot_rows)
 
 
 def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *,
@@ -218,9 +221,9 @@ def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -
     """Walk ``x = lam + rho`` in place into the closed fundamental alcove.
 
     Alternates the finite dominant walk with the reflection through the wall
-    ``(x, theta) = p``.  When ``letters`` is a list, the steps are appended
-    to it: a simple index for a finite reflection, ``rs.rank`` for the wall.
-    Returns ``x``.
+    ``(x, theta) = p``.  When ``letters`` is a list, the finite part of each
+    step is appended to it: a simple index for a finite reflection, the word
+    of ``s_theta`` for the wall.  Returns ``x``.
     """
     theta = rs.theta
     for _ in range(_ALCOVE_WALK_CAP):
@@ -231,7 +234,7 @@ def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -
         for k, t in enumerate(theta):
             x[k] -= excess * t
         if letters is not None:
-            letters.append(rs.rank)
+            letters.extend(_theta_reflection(rs).word)
     raise IterationLimitError("alcove walk did not terminate within the cap")
 
 
@@ -254,16 +257,13 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
     p = _as_level(level).p
     letters: list[int] = []
     x = _alcove_walk(rs, [c + 1 for c in lam], p, letters)
-    rep = Weight(c - 1 for c in x)
+    rep = _trusted(map(sub, x, rs.rho))
     # Every step is an involution, so g = L_1 ... L_k for the steps in walk
-    # order.  Its finite part is that word with the wall spelled as
-    # s_theta; its translation then follows from g . rep = lam.
-    wall_word = _theta_reflection(rs).word
-    word: list[int] = []
-    for letter in letters:
-        word.extend(wall_word if letter == rs.rank else (letter,))
-    w = weyl.canonical_from_word(rs, word)
-    g = AffineWeylElement(lam - weyl.apply(rs, w, rep, shifted=True), w)
+    # order.  Its finite part is the word of their finite parts; its
+    # translation then follows from g . rep = lam: lam + rho - w(x).
+    w = weyl.canonical_from_word(rs, letters)
+    moved = weyl._apply_word(rs, w.word, x)
+    g = AffineWeylElement(_trusted(map(sub, map(add, lam, rs.rho), moved)), w)
     return rep, g, _off_walls(rs, x, p)
 
 
@@ -302,7 +302,7 @@ def enumerate_dominant(rs: RootSystem, level: Level) -> tuple[Weight, ...]:
 
 @functools.lru_cache(maxsize=4096)  # by p: the alcove reads no other part of the level
 def _alcove_weights(rs: RootSystem, p: int) -> tuple[Weight, ...]:
-    return tuple(Weight(coords) for coords in _dominant_box(rs, p - 1))
+    return tuple(map(_trusted, _dominant_box(rs, p - 1)))
 
 
 def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
@@ -319,7 +319,7 @@ def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):
     out = []
     for coords in _dominant_box(rs, _as_instance(bound, int, "bound")):
         if _alcove_rep_coords(rs, coords, p) == lam:
-            nu = Weight(coords)
+            nu = _trusted(coords)
             _, g, _ = alcove_rep(rs, nu, level)
             out.append((g, nu))
     return out

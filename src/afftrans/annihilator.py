@@ -75,17 +75,17 @@ def singular_generator_label(rs: RootSystem, level: Level) -> AffineWeylElement:
     return affine.theta_wall_reflection(rs, level)
 
 
-def transport(rs: RootSystem, labels: SubmoduleLabels, lam) -> SubmoduleLabels:
+def transport(rs: RootSystem, labels: SubmoduleLabels, lam, *,
+              cap: int = 10 ** 6) -> SubmoduleLabels:
     """Re-base a label set from 0 to ``lam`` along the translation functor.
 
-    Every generator is pushed through :func:`translate.translate_weyl`, so
-    each image is certified by its single-survivor check; a failure there
-    propagates as an internal-inconsistency error.  The
-    generator set itself is carried over unchanged, so inclusions of label
-    sets are preserved verbatim.
+    Every generator is pushed through :func:`translate.translate_weyl` under ``cap``
+    (``finchar.DEFAULT_CAP``, which this layer loads only to transport), so each image
+    is certified by its single-survivor check; a failure there propagates as an
+    internal-inconsistency error.  The generator set itself is carried over
+    unchanged, so inclusions of label sets are preserved verbatim.
     """
-    from .finchar import DEFAULT_CAP  # loaded with translate, for transport alone
-    return _transport(rs, labels, lam, DEFAULT_CAP)[0]
+    return _transport(rs, labels, lam, cap)[0]
 
 
 def _transport(rs: RootSystem, labels: SubmoduleLabels, lam,
@@ -99,6 +99,7 @@ def _transport(rs: RootSystem, labels: SubmoduleLabels, lam,
     # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.
     _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
+    _as_instance(cap, int, "cap")  # also when there is no generator to translate
     images = {g: translate._translate(rs, g, zero, lam, labels.level, cap)
               for g in labels.generators}
     return SubmoduleLabels(base=lam, level=labels.level, generators=labels.generators), images

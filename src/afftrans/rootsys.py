@@ -5,9 +5,11 @@ integers (rational matrices are kept scaled over one common denominator);
 ``fractions.Fraction`` appears only for non-integral weights, and no
 floating point is used anywhere.  Nodes are numbered as in Bourbaki and the
 invariant bilinear form is normalised so that long roots have squared length 2.
-``_trusted`` builds a ``Weight`` from ints without the check of ``Weight.__new__``: only
-in integer-only cores (finchar) that computed them, never where a rational may arrive
-(``affine._dot``, ``weyl.apply``), where ``Weight`` normalises ``Fraction(2, 1)`` to ``2``.
+``_trusted`` builds a ``Weight`` without the check of ``Weight.__new__``, only from ints the
+library computed from integral-checked inputs (the walks of finchar, the affine and translation
+cores).  Where a rational may arrive the check stays, since ``Weight`` normalises
+``Fraction(2, 1)`` to ``2``: ``weyl.apply``, and ``affine._dot`` for a rational weight
+(``affine_apply``) or a translation that is not a ``Weight``.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ canonical affine Weyl group elements.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight, _residue
 from .errors import DatumInvalidError, DomainError, InternalInconsistencyError
 from .rootsys import (RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen, _Record,
-                      _root_numerator)
+                      _root_numerator, _trusted)
 
 
 class TranslationDatum(_Frozen):
@@ -89,17 +91,18 @@ def _survivors(rs: RootSystem, tau: Weight, start: Weight, target, p: int, cap: 
     start + nu for each weight nu of V_tau (folded by :func:`finchar._fold` unless ``verma``),
     summed only if linked to ``target`` (closed alcove at ``p``).  The mass counts every term."""
     if verma:
-        terms = ((start + x, m) for x, m in finchar.weight_multiplicities(rs, tau, cap=cap).items())
+        terms = ((tuple(map(add, start, x)), m)
+                 for x, m in finchar.weight_multiplicities(rs, tau, cap=cap).items())
     else:
         finchar._guard(rs, tau, start, cap)
-        terms = ((tuple(c - 1 for c in x), m) for x, m in finchar._fold(rs, start, tau))
+        terms = ((tuple(map(sub, x, rs.rho)), m) for x, m in finchar._fold(rs, start, tau))
     linked, kept, mass = _linked_to(rs, target, p), {}, 0
     for x, m in terms:
         mass += m * finchar._dim(rs, x)
         if linked(x):
             kept[x] = kept.get(x, 0) + m
     finchar._check_mass(rs, tau, start, mass)
-    return {Weight(x): m for x, m in sorted(kept.items()) if m}
+    return {_trusted(x): m for x, m in sorted(kept.items()) if m}
 
 
 def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
@@ -125,7 +128,7 @@ def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
     if not (verma or start.is_dominant):
         raise DomainError(f"g.mu {start} is not dominant integral")
     expected = affine._dot(rs, g, lam)
-    tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
+    tau = _trusted(weyl._dominant_walk(rs, list(map(sub, lam, mu))))
     survivors = _survivors(rs, tau, start, lam, level.p, cap, verma)
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
@@ -159,23 +162,24 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     if height > _as_instance(bound, int, "bound"):
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
-    tau = Weight(weyl._dominant_walk(rs, list(lam - mu)))
+    tau = _trusted(weyl._dominant_walk(rs, list(map(sub, lam, mu))))
     support = finchar.weight_multiplicities(rs, tau)
     # beta = (start + nu) - w . lam is in pQ iff both terms have the same
     # root coordinates mod p.  With y = w(lam + rho), w . lam = y - rho, so
     # bucket every nu by the residue of start + rho + nu and look y up.
-    shifted_start = start + rs.rho
+    shifted_start = tuple(map(add, start, rs.rho))
     buckets: dict[tuple, list[Weight]] = {}
     for nu in support:
-        buckets.setdefault(_residue(rs, shifted_start + nu, level.p), []).append(nu)
+        buckets.setdefault(_residue(rs, tuple(map(add, shifted_start, nu)), level.p), []).append(nu)
     found = False
     ok = True
     # lam + rho is regular dominant: its orbit meets every w once, and the
     # dominant walk of w(lam + rho) spells w as that of w(rho) does.
-    for y, _, _ in weyl._descend(rs, lam + rs.rho):
+    for y, _, _ in weyl._descend(rs, tuple(map(add, lam, rs.rho))):
         for nu in buckets.get(_residue(rs, y, level.p), ()):
             found = True
-            w1 = AffineWeylElement(shifted_start + nu - y, weyl._word_of(rs, list(y)))
+            beta = _trusted(map(sub, map(add, shifted_start, nu), y))
+            w1 = AffineWeylElement(beta, weyl._word_of(rs, list(y)))
             if w1 != g or tuple(weyl._dominant_walk(rs, list(nu))) != tau:
                 ok = False
     return found and ok

@@ -55,17 +55,18 @@ IDENTITY = WeylElement(())
 
 
 def _reflect_in_place(rs: RootSystem, coords: list, i: int) -> None:
+    """``s_i`` on ``coords`` in place, over the nonzero entries of ``alpha_i`` only."""
     c = coords[i]
     if c:
-        col = rs.simple_roots[i]
-        for k in range(rs.rank):
-            coords[k] -= c * col[k]
+        for k, a in enumerate(rs.simple_roots[i]):
+            if a:
+                coords[k] -= c * a
 
 
 def _apply_word(rs: RootSystem, word, coords) -> list:
     """Apply s_{word[0]} ... s_{word[-1]} to coords (rightmost letter first),
     checking that each letter is a simple index of ``rs``."""
-    n = rs.rank
+    n = len(rs.simple_roots)
     out = list(coords)
     for i in reversed(word):
         if not (isinstance(i, int) and 0 <= i < n):
@@ -81,10 +82,9 @@ def _dominant_walk(rs: RootSystem, x: list, letters: list | None = None) -> list
     When ``letters`` is a list, each simple index applied is appended to it,
     so that ``s_{letters[-1]} ... s_{letters[0]}`` maps the input to ``x``.
     """
-    n = rs.rank
     while True:
-        for i in range(n):
-            if x[i] < 0:
+        for i, c in enumerate(x):
+            if c < 0:
                 _reflect_in_place(rs, x, i)
                 if letters is not None:
                     letters.append(i)

@@ -505,6 +505,9 @@ def test_level_table_covers_every_public_level_function():
 # ---------------------------------------------------------------------------
 # the public integer-argument contract
 
+CHI = translate.make_character(A2, ZERO, {}, P5)
+LABELS = annihilator.make_labels(A2, ZERO, [], P5)
+
 # Every public function that takes a count (``afftrans.__all__`` plus
 # ``weyl.enumerate_elements``) but ``identity_element``, whose rank is
 # checked below: valid keyword arguments on A2 at P5, and its counts.
@@ -520,6 +523,7 @@ INT_CONTRACT = [
     (translate.translate_verma, dict(g=G, mu=ZERO, lam=OK, level=P5, cap=10), "cap"),
     (translate.verify_weight_geometry,
      dict(lam=OK, mu=ZERO, g=G, level=P5, bound=40), "bound"),
+    (annihilator.transport, dict(labels=LABELS, lam=OK, cap=10), "cap"),
 ]
 INT_PARAMS = {"cap", "bound", "max_size", "rank"}
 NO_LIMIT = {(weyl.enumerate_elements, "max_size"), (affine.dominant_orbit, "bound")}
@@ -550,10 +554,6 @@ def test_int_table_covers_every_public_count_function():
                and set(inspect.signature(obj).parameters) & INT_PARAMS
                and obj not in covered]
     assert not missing
-
-
-CHI = translate.make_character(A2, ZERO, {}, P5)
-LABELS = annihilator.make_labels(A2, ZERO, [], P5)
 
 
 @pytest.mark.parametrize("fn,valid,param,cls", [

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from afftrans import affine, annihilator, translate
-from afftrans.affine import Level
-from afftrans.errors import DomainError
+from afftrans import affine, annihilator, finchar, translate
+from afftrans.affine import AffineWeylElement, Level
+from afftrans.errors import DimensionCapError, DomainError
 from afftrans.rootsys import Weight, pairing, root_system
-from afftrans.weyl import WeylElement
+from afftrans.weyl import IDENTITY, WeylElement
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -167,6 +169,27 @@ def test_transport_empty_set_checks_base_then_target():
     labels = annihilator.make_labels(B2, Weight([0, 0]), set(), lvl(3))
     with pytest.raises(DomainError, match=r"mu \[0,0\] is singular at level 3/1"):
         annihilator.transport(B2, labels, [9, 9])
+
+
+def test_transport_takes_the_cap_of_translate_weyl():
+    # G2 at 8/1: t[24,16] sends 0 to [0,8], of dimension 11,571; dim V_[2,1] = 189
+    g2, level, zero, lam = root_system("G2"), lvl(8), Weight([0, 0]), Weight([2, 1])
+    g = AffineWeylElement(Weight([0, 8]), IDENTITY)
+    labels = annihilator.make_labels(g2, zero, {g}, level)
+    with pytest.raises(DimensionCapError,
+                       match="^dimension product 2186919 exceeds cap 1000000$"):
+        annihilator.transport(g2, labels, lam)
+    with pytest.raises(DimensionCapError,
+                       match="^dimension product 2186919 exceeds cap 2186918$"):
+        annihilator.transport(g2, labels, lam, cap=2186918)
+    moved = annihilator.transport(g2, labels, lam, cap=2186919)
+    assert (moved.base, moved.generators) == (lam, labels.generators)
+    assert translate.translate_weyl(g2, g, zero, lam, level, cap=10 ** 9) == Weight([2, 9])
+
+
+def test_transport_default_cap_is_the_library_default():
+    default = inspect.signature(annihilator.transport).parameters["cap"].default
+    assert default == finchar.DEFAULT_CAP and type(default) is int
 
 
 def test_transport_agrees_with_translate_weyl():

@@ -709,3 +709,78 @@ def test_translations_build_no_filtration(monkeypatch):
     translate.project_linkage(A2, translate.kl_weyl_filtration(A2, lam, zero), lam, P5)
     assert [name for name, _ in calls] == [
         "kl_weyl_filtration", "tensor_decompose", "project_linkage"]
+
+
+# ---------------------------------------------------------------------------
+# the translation core builds its weights unchecked (rootsys._trusted)
+
+
+def _int_weights(weights):
+    return all(type(w) is Weight and all(type(c) is int for c in w) and w == Weight(tuple(w))
+               for w in weights)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_every_weight_the_translation_core_returns_has_int_coordinates(data):
+    rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 2, rs.dual_coxeter + 5)), 1)
+    g = data.draw(_affine_elements(rs, level, rs.simple_roots))
+    lam = Weight(data.draw(st.lists(st.integers(-4, 6), min_size=rs.rank, max_size=rs.rank)))
+    rep, h, _ = affine.alcove_rep(rs, lam, level)
+    returned = [affine.affine_apply(rs, g, lam, level), rep, h.translation,
+                *affine.enumerate_dominant(rs, level)]
+    regular = annihilator.admissible_list(rs, level)
+    mu, nu = data.draw(st.sampled_from(regular)), data.draw(st.sampled_from(regular))
+    orbit = affine.dominant_orbit(rs, mu, level, bound=3 * level.p)
+    returned += [w for _, w in orbit] + [k.translation for k, _ in orbit]
+    k, _ = data.draw(st.sampled_from(orbit))  # k . mu is dominant
+    # p times the long roots, as the alcove walk makes them: on B2 and G2, pQ
+    # is larger than the group the linkage classes see
+    long_roots = [a for a in rs.positive_roots if rootsys.bilinear(rs, a, a) == 2]
+    v = data.draw(_affine_elements(rs, level, long_roots))  # v . mu need not be dominant
+    for translation, element in ((translate.translate_weyl, k), (translate.translate_verma, v)):
+        try:
+            returned.append(translation(rs, element, mu, nu, level))
+        except DimensionCapError:
+            pass
+    assert _int_weights(returned)
+
+
+@pytest.mark.parametrize("beta", [(10,), [10], (Fraction(10, 1),)],
+                         ids=["tuple", "list", "fraction"])
+def test_a_translation_that_is_no_weight_still_gives_int_weights(beta):
+    g = AffineWeylElement(beta, IDENTITY)
+    images = [affine.affine_apply(A1, g, [0], P5),
+              translate.translate_weyl(A1, g, [0], [1], P5),
+              translate.translate_verma(A1, g, [0], [1], P5)]
+    assert images == [Weight([10]), Weight([11]), Weight([11])] and _int_weights(images)
+    assert repr(affine.affine_apply(A1, g, [Fraction(1, 2)], P5)) == "Weight('[21/2]')"
+
+
+def test_a_rational_weight_keeps_the_checked_dot_action():
+    image = affine.affine_apply(A1, SAFF, [Fraction(1, 2)], P5)
+    assert repr(image) == "Weight('[15/2]')"
+    # s1 . [1/2,1/2] = [-5/2, 2]: the Fraction(2, 1) the walk computes is stored as 2
+    s1 = AffineWeylElement(Weight([0, 0]), WeylElement((0,)))
+    image = affine.affine_apply(A2, s1, [Fraction(1, 2), Fraction(1, 2)], P5)
+    assert repr(image) == "Weight('[-5/2,2]')" and type(image[1]) is int
+
+
+def test_a_warm_translation_checks_no_weight(monkeypatch):
+    a3, p6 = root_system("A3"), Level(6, 1)
+    g, zero, lam = affine.theta_wall_reflection(a3, p6), Weight([0, 0, 0]), Weight([1, 0, 0])
+    calls = [lambda: translate.translate_weyl(a3, g, zero, lam, p6),
+             lambda: translate.translate_verma(a3, g, zero, lam, p6),
+             lambda: affine.affine_apply(a3, g, lam, p6)]
+    images = [call() for call in calls]
+    assert images == [Weight([3, 0, 2])] * 3
+    real, built = Weight.__new__, []
+
+    def counted(cls, coords):
+        built.append(coords)
+        return real(cls, coords)
+
+    monkeypatch.setattr(Weight, "__new__", counted)
+    assert [call() for call in calls] == images
+    assert built == []
