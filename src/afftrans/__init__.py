@@ -7,80 +7,17 @@ only for non-integral weights; floats are rejected at the type boundary.
 Importing the package loads none of its layers: each public name, and
 each layer module, is imported on first access (PEP 562).  So a caller
 loads only the layers it uses, and so does each subcommand of the command
-line, which imports its layers itself.
+line, which imports its layers itself.  One table lists the public names by
+layer; ``__all__`` and the lazy lookup are both read off it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineWeylElement",
-    "AfftransError",
-    "DEFAULT_CAP",
-    "DatumInvalidError",
-    "DimensionCapError",
-    "DomainError",
-    "InexactCoordinateError",
-    "InternalInconsistencyError",
-    "InvalidRootSystemError",
-    "IterationLimitError",
-    "Level",
-    "LinkageCharacter",
-    "RootSystem",
-    "RootSystemSpec",
-    "SubmoduleLabels",
-    "TranslationDatum",
-    "Weight",
-    "WeylElement",
-    "admissible_list",
-    "affine_apply",
-    "alcove_rep",
-    "bar_involution",
-    "bilinear",
-    "build_root_system",
-    "check_datum",
-    "compose_affine",
-    "coroot_pairings",
-    "dimension",
-    "dominant_orbit",
-    "dominant_rep",
-    "enumerate_dominant",
-    "enumerate_elements",
-    "finite_element",
-    "identity_element",
-    "in_fundamental_alcove",
-    "inverse_affine",
-    "is_regular",
-    "kl_weyl_filtration",
-    "linked",
-    "longest_element",
-    "make_character",
-    "make_labels",
-    "orbit",
-    "pairing",
-    "project_linkage",
-    "reflection_in_root",
-    "root_coords",
-    "root_system",
-    "round_trip_check",
-    "singular_generator_label",
-    "tensor_decompose",
-    "tensor_oracle",
-    "theta_wall_reflection",
-    "translate_character",
-    "translate_verma",
-    "translate_weyl",
-    "translation_element",
-    "translation_weight",
-    "transport",
-    "verify_weight_geometry",
-    "verma_filtration",
-    "weight_multiplicities",
-]
-
-# Each public name -> the layer module that defines it.  A layer's own name
-# maps to itself, so ``afftrans.affine`` works after a bare ``import afftrans``.
+# Each public name -> the layer module that defines it, from the one table of
+# public names by layer.  A layer's own name maps to itself, so
+# ``afftrans.affine`` works after a bare ``import afftrans``.
 _LAYER_OF = {name: layer for layer, names in {
     "affine": ("AffineWeylElement", "Level", "affine_apply", "alcove_rep", "compose_affine",
                "dominant_orbit", "enumerate_dominant", "finite_element", "identity_element",
@@ -102,6 +39,7 @@ _LAYER_OF = {name: layer for layer, names in {
     "weyl": ("WeylElement", "bar_involution", "dominant_rep", "enumerate_elements",
              "longest_element", "orbit", "reflection_in_root"),
 }.items() for name in (layer, *names)}
+__all__ = sorted(name for name, layer in _LAYER_OF.items() if name != layer)
 
 
 def __getattr__(name: str):

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .errors import AfftransError, DatumInvalidError, DomainError
-from .rootsys import RootSystem, RootSystemSpec, Weight, build_root_system, root_coords
+from .rootsys import RootSystem, Weight, root_coords, root_system
 
 
 class UsageError(Exception):
@@ -39,7 +39,7 @@ class UsageError(Exception):
 
 def _type_arg(text: str) -> RootSystem:
     try:
-        return build_root_system(RootSystemSpec.parse(text))
+        return root_system(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -400,7 +400,7 @@ def _as_weight(rs: RootSystem, wt, what: str = "weight", *,
     (floats and other non-numbers are refused by ``Weight`` itself).
     """
     w = wt if isinstance(wt, Weight) else Weight(wt)
-    if len(w) != rs.rank:
+    if len(w) != len(rs.cartan):
         raise DomainError(f"{what} {w} has wrong rank for {rs.spec}")
     if dominant and not (w.is_integral and w.is_dominant):
         raise DomainError(f"{what} {w} is not dominant integral")

@@ -140,49 +140,31 @@ def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
 
 def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
                            level: Level, bound) -> bool:
-    """Exhaustively confirm that ``g . lam`` is reached only the trivial way.
+    """Whether ``g . lam`` is reached only the trivial way (Jantzen, RAG II.7).
 
-    Sweeps every factorisation ``w1 . lam = g . mu + nu`` with ``w1`` in the
-    affine Weyl group and ``nu`` a weight of the translation module: since
-    ``w1 = (t_beta, w)`` forces ``beta = (g . mu + nu) - w . lam``, checking
-    every finite ``w`` against the translation lattice covers all of them.
-    The Weyl group is walked once, as the orbit of ``lam + rho``; like
-    :func:`weyl.enumerate_elements`, a group of more than ``10**6`` elements
-    is refused before any walk.
-    Returns True iff every solution has ``w1 = g`` and ``nu`` in the plain
-    orbit of the translation weight.
+    A solution of ``w1 . lam = g . mu + nu``, with ``w1 = (t_beta, w)`` affine and
+    ``nu`` a weight of V_tau, is a ``nu`` whose ``g . mu + rho + nu`` has the residue
+    mod ``pQ`` of ``w(lam + rho)``.  ``lam`` is regular, so that orbit has pairwise
+    distinct residues and each ``nu`` meets at most one ``w``; ``g`` itself, whose
+    translation is in ``pQ``, is one solution.  So the lemma holds iff exactly one
+    weight of V_tau has a residue in the orbit's.  Like :func:`weyl.enumerate_elements`,
+    a group of more than ``10**6`` elements is refused before any walk; ``g``'s
+    letters are checked as ``g . mu`` is computed.
     """
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     weyl._check_order(rs, 10 ** 6)
     g = affine._as_group_element(rs, g, level)
-    g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
     start = _as_weight(rs, affine._dot(rs, g, mu), "g.mu", dominant=True)
     height = affine._theta_height(rs, [c + 1 for c in start])
     if height > _as_instance(bound, int, "bound"):
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
     tau = _trusted(weyl._dominant_walk(rs, list(map(sub, lam, mu))))
-    support = finchar.weight_multiplicities(rs, tau)
-    # beta = (start + nu) - w . lam is in pQ iff both terms have the same
-    # root coordinates mod p.  With y = w(lam + rho), w . lam = y - rho, so
-    # bucket every nu by the residue of start + rho + nu and look y up.
-    shifted_start = tuple(map(add, start, rs.rho))
-    buckets: dict[tuple, list[Weight]] = {}
-    for nu in support:
-        buckets.setdefault(_residue(rs, tuple(map(add, shifted_start, nu)), level.p), []).append(nu)
-    found = False
-    ok = True
-    # lam + rho is regular dominant: its orbit meets every w once, and the
-    # dominant walk of w(lam + rho) spells w as that of w(rho) does.
-    for y, _, _ in weyl._descend(rs, tuple(map(add, lam, rs.rho))):
-        for nu in buckets.get(_residue(rs, y, level.p), ()):
-            found = True
-            beta = _trusted(map(sub, map(add, shifted_start, nu), y))
-            w1 = AffineWeylElement(beta, weyl._word_of(rs, list(y)))
-            if w1 != g or tuple(weyl._dominant_walk(rs, list(nu))) != tau:
-                ok = False
-    return found and ok
+    p, shifted_start = level.p, tuple(map(add, start, rs.rho))
+    orbit = {_residue(rs, y, p) for y, _, _ in weyl._descend(rs, tuple(map(add, lam, rs.rho)))}
+    return sum(_residue(rs, tuple(map(add, shifted_start, nu)), p) in orbit
+               for nu in finchar.weight_multiplicities(rs, tau)) == 1
 
 
 class LinkageCharacter(_Record):

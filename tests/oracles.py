@@ -6,9 +6,9 @@ tables, linear algebra is Gaussian elimination over ``Fraction``, and weight
 multiplicities come from dividing the alternating orbit sum of ``lam + rho``
 by the Weyl denominator -- a different algorithm on different data
 structures, so agreement with the library is a real check.  Tensor products
-come from those characters and the group's matrices.  The two dense box
-filters at the end are the references for the library's walks over dominant
-weights.
+come from those characters and the group's matrices, and so does the
+pair-by-pair check of the weight-geometry lemma.  The two dense box filters
+at the end are the references for the library's walks over dominant weights.
 """
 
 from __future__ import annotations
@@ -264,6 +264,53 @@ def character_oracle(cartan, lam) -> dict:
 
 def dimension_oracle(cartan, lam) -> int:
     return sum(character_oracle(cartan, lam).values())
+
+
+@functools.lru_cache(maxsize=None)
+def _support(cartan, lam) -> tuple:
+    """The weights of the irreducible with highest weight ``lam``, cached for the sweeps."""
+    return tuple(character_oracle(cartan, lam))
+
+
+def verify_oracle(cartan, lam, mu, translation, word, moduli) -> bool:
+    """Reference for the weight-geometry lemma (Jantzen, RAG II.7), pair by pair.
+
+    ``g`` is the translation by ``translation`` after the finite element
+    ``s_{word[0]} ... s_{word[-1]}``, spelled any way.  For every group matrix
+    ``w`` and weight ``nu`` of V_tau (tau the dominant point of the orbit of
+    ``lam - mu``), ``beta = g.mu + nu - w.lam`` gives a solution
+    ``(t_beta, w) . lam = g.mu + nu`` when root coordinate ``i`` of ``beta`` is a
+    multiple of ``moduli[i]``.  True iff there is a solution and each one is
+    ``g`` itself with ``nu`` in the orbit of tau.
+    """
+    n = len(cartan)
+    gens = reflection_matrices(cartan)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    g_mat = functools.reduce(_mat_mul, (gens[i] for i in word), identity)
+
+    def dot(mat, wt):
+        return tuple(c - 1 for c in _mat_vec(mat, tuple(c + 1 for c in wt)))
+
+    start = tuple(a + b for a, b in zip(dot(g_mat, mu), translation))
+    orbit = {_mat_vec(mat, tuple(a - b for a, b in zip(lam, mu))) for mat in weyl_group(cartan)}
+    tau = next(x for x in orbit if min(x) >= 0)
+
+    def residue(wt):  # beta is in the lattice iff g.mu + nu and w.lam have equal residues
+        return tuple(c % m for c, m in zip(root_coordinates(cartan, wt), moduli))
+
+    ends = {nu: residue(tuple(a + b for a, b in zip(start, nu)))
+            for nu in _support(cartan, tau)}
+    solutions = []
+    for mat in weyl_group(cartan):
+        w_lam = dot(mat, lam)
+        here = residue(w_lam)
+        for nu, end in ends.items():
+            if end == here:
+                beta = tuple(a + b - c for a, b, c in zip(start, nu, w_lam))
+                solutions.append((beta, mat, nu))
+    return bool(solutions) and all(
+        beta == tuple(translation) and mat == g_mat and nu in orbit
+        for beta, mat, nu in solutions)
 
 
 def tensor_reference(cartan, lam, mu) -> dict:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afftrans
+import oracles
 from afftrans import affine, annihilator, finchar, rootsys, translate, weyl
 from afftrans.affine import AffineWeylElement, Level
 from afftrans.errors import (
@@ -160,39 +161,47 @@ def test_verify_weight_geometry_bound_guard():
         translate.verify_weight_geometry(A1, Weight([2]), Weight([0]), SAFF, P5, 3)
 
 
-def _verify_by_pairs(rs, lam, mu, g, level, bound):
-    """Reference: every (w, nu) pair tested against pQ directly."""
-    lam, mu = Weight(lam), Weight(mu)
-    g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
-    start = affine.affine_apply(rs, g, mu, level)
-    tau = translate.translation_weight(rs, lam, mu)
-    solutions = []
-    for w in weyl.enumerate_elements(rs):
-        w_lam = weyl.apply(rs, w, lam, shifted=True)
-        for nu in finchar.weight_multiplicities(rs, tau):
-            beta = start + nu - w_lam
-            if all(c % level.p == 0 for c in rootsys.root_coords(rs, beta)):
-                solutions.append((AffineWeylElement(beta, w), nu))
-    return bool(solutions) and all(
-        w1 == g and translate.translation_weight(rs, nu, Weight.zero(rs.rank)) == tau
-        for w1, nu in solutions)
+def _verify_by_oracle(rs, lam, mu, g, level):
+    """The oracle's pair-by-pair sweep, every root coordinate of beta taken mod p (pQ)."""
+    cartan = oracles.cartan_matrix(rs.spec.series, rs.rank)
+    return oracles.verify_oracle(cartan, lam, mu, g.translation, g.finite.word,
+                                 (level.p,) * rs.rank)
 
 
-@pytest.mark.parametrize("name,p", [("A2", 5), ("B2", 7), ("G2", 8)])
+@pytest.mark.parametrize("name,p", [("A2", 5), ("B2", 7), ("G2", 8), ("B3", 7), ("C3", 6)])
 def test_verify_weight_geometry_matches_the_pairwise_sweep(name, p):
     rs, level = root_system(name), Level(p, 1)
     alcove = [w for w in affine.enumerate_dominant(rs, level)
               if affine.is_regular(rs, w, level)]
     verdicts = set()
     for mu in alcove[:3]:
-        gs = [g for g, _ in affine.dominant_orbit(rs, mu, level)[:3]]
+        gs = [g for g, _ in affine.dominant_orbit(rs, mu, level, bound=4 * p)[:3]]
         for lam in alcove:
             for g in gs:
                 got = translate.verify_weight_geometry(rs, lam, mu, g, level, 4 * p)
-                assert got == _verify_by_pairs(rs, lam, mu, g, level, 4 * p)
+                assert got == _verify_by_oracle(rs, lam, mu, g, level)
                 verdicts.add(got)
-    # False verdicts on B2 and G2 are the known non-simply-laced lattice defect
+    # False verdicts on B2, B3, C3 and G2 are the known non-simply-laced lattice defect
     assert verdicts == ({True} if rs.is_simply_laced else {True, False})
+
+
+VERIFY_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_verify_weight_geometry_matches_the_oracle(data):
+    rs = root_system(data.draw(st.sampled_from(VERIFY_TYPES)))
+    # from h^vee + 2 on, each of these types has a regular weight in the alcove
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 2, rs.dual_coxeter + 3)), 1)
+    regular = annihilator.admissible_list(rs, level)
+    mu, lam = data.draw(st.sampled_from(regular)), data.draw(st.sampled_from(regular))
+    bound = 3 * level.p
+    g, _ = data.draw(st.sampled_from(affine.dominant_orbit(rs, mu, level, bound=bound)))
+    if data.draw(st.booleans()):
+        g = _respell(data.draw, rs, g)  # s_i s_i spliced in: not the canonical word
+    assert translate.verify_weight_geometry(rs, lam, mu, g, level, bound) == \
+        _verify_by_oracle(rs, lam, mu, g, level)
 
 
 def test_verify_weight_geometry_walks_the_group_once(monkeypatch):
@@ -224,6 +233,19 @@ W0_SPELLINGS = [AffineWeylElement(Weight([5, 5]), WeylElement(word))
 def test_verify_weight_geometry_reads_any_spelling(g):
     assert translate.verify_weight_geometry(
         A2, Weight([0, 0]), Weight([0, 0]), g, P5, 20)
+
+
+def test_verify_weight_geometry_spells_no_group_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group element is spelled")
+
+    monkeypatch.setattr(weyl, "_word_of", refuse)
+    monkeypatch.setattr(weyl, "canonical_from_word", refuse)
+    P7, g = Level(7, 1), AffineWeylElement(Weight([0, 14]), WeylElement((1, 0, 1)))
+    assert translate.verify_weight_geometry(B2, Weight([1, 0]), Weight([0, 0]), g, P7, 28)
+    assert not translate.verify_weight_geometry(B2, Weight([2, 1]), Weight([0, 0]), g, P7, 28)
+    for g in W0_SPELLINGS:
+        assert translate.verify_weight_geometry(A2, Weight([0, 0]), Weight([0, 0]), g, P5, 20)
 
 
 def test_make_character_stores_the_canonical_spelling():
