@@ -1,10 +1,10 @@
 """Affine Weyl group at rational shifted level, alcoves and linkage.
 
-The group is the semidirect product of translations by p times the root
-lattice with the finite Weyl group; it acts on weights through the dot
-action ``(t_beta, w) . lam = w . lam + beta``.  The shifted level t = p/q
-represents k + (dual Coxeter number); the fundamental alcove is cut out by
-``lam + rho`` dominant and ``0 < (lam + rho, theta) < p``.
+The group the alcove walk generates is ``W x pQ^vee`` (``Q^vee`` is spanned by
+the long roots), though the public lattice check still accepts ``pQ``.  It
+acts through the dot action ``(t_beta, w) . lam = w . lam + beta``.  The
+shifted level t = p/q represents k + (dual Coxeter number); the fundamental
+alcove is cut out by ``lam + rho`` dominant and ``0 < (lam + rho, theta) < p``.
 
 Every walk into the closed fundamental alcove is :func:`_alcove_walk`: the
 finite dominant walk of :mod:`weyl`, alternated with the reflection through
@@ -297,12 +297,7 @@ def _dominant_box(rs: RootSystem, height: int):
 def enumerate_dominant(rs: RootSystem, level: Level) -> tuple[Weight, ...]:
     """All dominant integral weights in the open fundamental alcove, sorted
     lexicographically.  Empty when p is at most the dual Coxeter number."""
-    return _alcove_weights(rs, _as_level(level).p)
-
-
-@functools.lru_cache(maxsize=4096)  # by p: the alcove reads no other part of the level
-def _alcove_weights(rs: RootSystem, p: int) -> tuple[Weight, ...]:
-    return tuple(map(_trusted, _dominant_box(rs, p - 1)))
+    return tuple(map(_trusted, _dominant_box(rs, _as_level(level).p - 1)))
 
 
 def dominant_orbit(rs: RootSystem, lam, level: Level, bound=None):

@@ -207,9 +207,6 @@ def _fmt_value(v) -> str:
         return v
     if isinstance(v, (Weight, int, Fraction)):
         return str(v)
-    from .affine import Level  # already loaded wherever a Level is printed
-    if isinstance(v, Level):
-        return str(v)
     raise TypeError(f"unformattable value {v!r}")
 
 
@@ -237,7 +234,7 @@ def _cmd_info(args, rs: RootSystem, level) -> int:
            ("dual_coxeter", rs.dual_coxeter), ("theta", rs.theta)]
     if level is not None:
         from . import affine
-        row += [("level", level), ("k", level.k(rs)),
+        row += [("level", str(level)), ("k", level.k(rs)),
                 ("alcove_weights", len(affine.enumerate_dominant(rs, level)))]
     return _emit([row], args.format)
 

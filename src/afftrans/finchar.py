@@ -26,7 +26,7 @@ from struct import calcsize
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
 from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _form_numerator,
-                      _root_numerator, _trusted, root_coords)
+                      _root_numerator, _trusted)
 
 #: Default refusal threshold for the product of the two factor dimensions.
 DEFAULT_CAP = 10**6
@@ -64,11 +64,11 @@ def _root_data(rs: RootSystem):
     """Per positive root: (fundamental coords, coroot row, ``rs.form_den *
     (alpha, alpha) / 2``, root coords).  The third entry is always an integer;
     using it keeps the Freudenthal recursion in pure integers."""
-    out = []
+    out, den = [], rs.inv_cartan_den
     for alpha, row in zip(rs.positive_roots, rs.coroot_rows):
         half, odd = divmod(_form_numerator(rs, alpha, alpha), 2)
         assert not odd
-        out.append((alpha, row, half, root_coords(rs, alpha)))
+        out.append((alpha, row, half, tuple(n // den for n in _root_numerator(rs, alpha))))
     return tuple(out)
 
 

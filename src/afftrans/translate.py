@@ -13,7 +13,7 @@ canonical affine Weyl group elements.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight, _residue
@@ -119,8 +119,8 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
     return _translate(rs, g, mu, lam, level, cap)
 
 
-def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level,
-               cap: int = finchar.DEFAULT_CAP, verma: bool = False) -> Weight:
+def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level, cap: int,
+               verma: bool = False) -> Weight:
     """:func:`translate_weyl` (:func:`translate_verma` when ``verma``) for checked ``mu``, ``lam``:
     ``g . lam``, once ``{g . lam: 1}`` is all that :func:`_survivors` keeps."""
     g = affine._as_group_element(rs, g, level)
@@ -197,7 +197,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
     if not hasattr(coeffs, "items"):
         raise DomainError(f"coefficients must map group elements to integers, "
                           f"got {_a_or_an(type(coeffs).__name__)}")
-    cleaned = {}
+    cleaned, modulus = {}, level.p * rs.form_den
     for g, c in coeffs.items():
         if type(c) is not int:  # bool is no coefficient
             raise DomainError(f"coefficient {c!r} is not an int")
@@ -211,8 +211,9 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
         if not image.is_dominant:
             raise DomainError(f"key {g} sends {base} to {image}, "
                               "outside the dominant cone")
-        _, canonical, _ = affine.alcove_rep(rs, image, level)
-        if canonical != g:
+        # base is in the open alcove, so the alcove walk from g . base returns g
+        # iff g is in W x pQ^vee: iff (omega_j, beta) is in pZ for every j
+        if any(sum(map(mul, row, g.translation)) % modulus for row in rs.form_int):
             raise DomainError(f"key {g} is not the canonical element "
                               f"for its image {image}")
         cleaned[g] = c
@@ -249,9 +250,7 @@ def verma_filtration(rs: RootSystem, lam, mu, *,
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, "mu", integral=True)
-    parts = {mu + nu: m
-             for nu, m in finchar.weight_multiplicities(rs, lam, cap=cap).items()}
-    return dict(sorted(parts.items()))
+    return {mu + nu: m for nu, m in finchar.weight_multiplicities(rs, lam, cap=cap).items()}
 
 
 def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,

@@ -8,7 +8,9 @@ by the Weyl denominator -- a different algorithm on different data
 structures, so agreement with the library is a real check.  Tensor products
 come from those characters and the group's matrices, and so does the
 pair-by-pair check of the weight-geometry lemma.  The two dense box filters
-at the end are the references for the library's walks over dominant weights.
+are the references for the library's walks over dominant weights.  The
+lattice ``pQ^vee`` and the alcove's special automorphisms are read off the
+Cartan matrix and the highest root at the end.
 """
 
 from __future__ import annotations
@@ -82,6 +84,10 @@ def _mat_vec(m, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def reflection_matrices(cartan):
     """The simple reflections acting on fundamental-weight coordinates:
     s_i subtracts x_i times the i-th simple root (the i-th Cartan column)."""
@@ -103,8 +109,7 @@ def weyl_group(cartan) -> dict:
     every generator is an involution and lengths change by one per step.
     """
     gens = reflection_matrices(cartan)
-    n = len(cartan)
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    identity = _identity(len(cartan))
     lengths = {identity: 0}
     frontier = [identity]
     while frontier:
@@ -117,6 +122,12 @@ def weyl_group(cartan) -> dict:
                     step.append(prod)
         frontier = step
     return lengths
+
+
+def word_matrix(cartan, word):
+    """The matrix of ``s_{word[0]} ... s_{word[-1]}`` (the last letter acts first)."""
+    gens = reflection_matrices(cartan)
+    return functools.reduce(_mat_mul, (gens[i] for i in word), _identity(len(cartan)))
 
 
 def root_coordinates(cartan, vec):
@@ -283,10 +294,7 @@ def verify_oracle(cartan, lam, mu, translation, word, moduli) -> bool:
     multiple of ``moduli[i]``.  True iff there is a solution and each one is
     ``g`` itself with ``nu`` in the orbit of tau.
     """
-    n = len(cartan)
-    gens = reflection_matrices(cartan)
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    g_mat = functools.reduce(_mat_mul, (gens[i] for i in word), identity)
+    g_mat = word_matrix(cartan, word)
 
     def dot(mat, wt):
         return tuple(c - 1 for c in _mat_vec(mat, tuple(c + 1 for c in wt)))
@@ -356,3 +364,43 @@ def dominant_box(marks, height):
     sizes = [max(room // m, -1) + 1 for m in marks]
     return [coords for coords in itertools.product(*map(range, sizes))
             if sum(m * c for m, c in zip(marks, coords)) <= room]
+
+
+def in_p_coroot_lattice(cartan, p, beta) -> bool:
+    """Whether ``beta`` (fundamental coordinates) lies in ``p Q^vee``, the translations
+    of the group the alcove walk generates: ``alpha_i^vee = alpha_i / d_i``, so root
+    coordinate ``i`` must be a multiple of ``p / d_i``."""
+    return all((c * d / p).denominator == 1
+               for c, d in zip(root_coordinates(cartan, beta), symmetrizer(cartan)))
+
+
+def _longest(cartan, nodes):
+    """The longest element of the subgroup generated by ``s_i``, ``i`` in ``nodes``:
+    the one element of the last breadth-first level."""
+    gens = [reflection_matrices(cartan)[i] for i in nodes]
+    seen = level = {_identity(len(cartan))}
+    while True:
+        step = {_mat_mul(m, s) for m in level for s in gens} - seen
+        if not step:
+            (longest,) = level
+            return longest
+        seen, level = seen | step, step
+
+
+@functools.lru_cache(maxsize=None)
+def alcove_automorphisms(cartan) -> tuple:
+    """The nontrivial special automorphisms of the fundamental alcove (Bourbaki,
+    Lie VI 2.3), as pairs ``(i, w)``: ``x = lam + rho`` goes to ``w(x) + p omega_i``.
+    One per node ``i`` whose mark (root coordinate ``i`` of the highest root) is 1,
+    with ``w`` the longest element of the stabiliser of ``omega_i`` (generated by
+    the ``s_j``, ``j != i``) after the longest element ``w_0``."""
+    theta, n = positive_roots(cartan)[-1], len(cartan)
+    w0 = _longest(cartan, range(n))
+    return tuple((i, _mat_mul(_longest(cartan, [j for j in range(n) if j != i]), w0))
+                 for i in range(n) if theta[i] == 1)
+
+
+def apply_automorphism(omega, p, lam) -> tuple:
+    """``omega = (i, w)`` of :func:`alcove_automorphisms` at ``p`` on the weight ``lam``."""
+    i, w = omega
+    return tuple(c + p * (j == i) - 1 for j, c in enumerate(_mat_vec(w, [c + 1 for c in lam])))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afftrans
+import oracles
 from afftrans import affine, annihilator, finchar, rootsys, translate, weyl
 from afftrans.affine import (
     AffineWeylElement,
@@ -729,3 +730,66 @@ def test_identity_element_of_a_rank_beyond_any_tuple_is_domain_error():
     # refused on the bound, before a tuple of zeros is asked for
     with pytest.raises(DomainError, match=f"^rank {10 ** 30} is too large$"):
         identity_element(10 ** 30)
+
+
+# ---------------------------------------------------------------------------
+# the alcove's special automorphisms (Omega = P^vee / Q^vee), read off the
+# Cartan data by tests/oracles.py, never from the library's walk
+
+OMEGA_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+
+
+def _omegas(name):
+    return oracles.alcove_automorphisms(oracles.cartan_matrix(name[0], int(name[1:])))
+
+
+# finite parts found by trying every (i, w in W) on the open alcove at 5/1 and
+# 7/1 (A2 and D4 at 7/1); words are 1-based, D4 only counted
+@pytest.mark.parametrize("name, words", [
+    ("A2", [(1, 2), (2, 1)]), ("B2", [(1, 2, 1)]), ("B3", [(1, 2, 3, 2, 1)]),
+    ("C3", [(3, 2, 1, 3, 2, 3)]), ("D4", 3), ("G2", [])])
+def test_alcove_automorphisms_match_the_brute_force_list(name, words):
+    cartan = oracles.cartan_matrix(name[0], int(name[1:]))
+    found = {w for _, w in _omegas(name)}
+    if isinstance(words, int):
+        assert len(found) == len(_omegas(name)) == words
+    else:
+        assert found == {oracles.word_matrix(cartan, [i - 1 for i in word]) for word in words}
+
+
+@pytest.mark.parametrize("name", OMEGA_TYPES)
+def test_alcove_sets_are_omega_stable(name):
+    rs = root_system(name)
+    for p in range(rs.dual_coxeter + 1, rs.dual_coxeter + 7):
+        level = Level(p, 1)
+        alcove = affine.enumerate_dominant(rs, level)
+        admissible = annihilator.admissible_list(rs, level)
+        for omega in _omegas(name):
+            assert {oracles.apply_automorphism(omega, p, w) for w in alcove} == set(alcove)
+            assert {oracles.apply_automorphism(omega, p, w) for w in admissible} == \
+                set(admissible)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_linkage_and_the_alcove_walk_commute_with_omega(data):
+    name = data.draw(st.sampled_from(OMEGA_TYPES))
+    rs, omegas = root_system(name), _omegas(name)
+    if not omegas:  # G2: nothing to commute with
+        return
+    omega = data.draw(st.sampled_from(omegas))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6)), 1)
+    weights = st.lists(st.integers(-8, 12), min_size=rs.rank, max_size=rs.rank)
+    lam, nu = Weight(data.draw(weights)), Weight(data.draw(weights))
+    rep, _, _ = affine.alcove_rep(rs, lam, level)
+    if data.draw(st.booleans()):  # a weight linked to lam: nu's element applied to rep
+        mu = affine.affine_apply(rs, affine.alcove_rep(rs, nu, level)[1], rep, level)
+    else:
+        mu = nu
+
+    def act(wt):
+        return oracles.apply_automorphism(omega, level.p, wt)
+
+    assert affine.is_regular(rs, act(lam), level) == affine.is_regular(rs, lam, level)
+    assert affine.linked(rs, act(lam), act(mu), level) == affine.linked(rs, lam, mu, level)
+    assert affine.alcove_rep(rs, act(lam), level)[0] == act(rep)

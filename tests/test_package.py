@@ -60,7 +60,6 @@ def test_records_pickle_through_the_package():
 # Every lru_cache in the package, by layer and name, with its maxsize.
 CACHES = {
     "affine._alcove_rep_coords": 200_000,
-    "affine._alcove_weights": 4096,
     "affine._theta_reflection": None,
     "finchar._character": 4096,
     "finchar._dim": 4096,

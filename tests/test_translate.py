@@ -310,6 +310,73 @@ def test_make_character_rejects_noncanonical_key():
         translate.make_character(B2, base, {stab: 1}, P5)
 
 
+LATTICE_TYPES = ["A2", "B2", "B3", "C3", "G2"]  # A2, where pQ = pQ^vee, is the control
+
+
+def _lattice_shape(beta, shape):
+    return {"weight": Weight(beta), "tuple": tuple(beta),
+            "fraction": tuple(Fraction(b, 1) for b in beta)}[shape]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_make_character_refuses_exactly_the_keys_outside_the_walks_lattice(data):
+    name = data.draw(st.sampled_from(LATTICE_TYPES))
+    rs, cartan = root_system(name), oracles.cartan_matrix(name[0], int(name[1:]))
+    p = data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 4))
+    level = Level(p, 1)
+    base = data.draw(st.sampled_from(affine.enumerate_dominant(rs, level)))
+    ns = data.draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank))
+    word = WeylElement(tuple(data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=6))))
+    beta = [p * sum(n * alpha[j] for n, alpha in zip(ns, rs.simple_roots))
+            for j in range(rs.rank)]
+    # 2 rho^vee (fundamental coordinates 2 / d_j) is in Q^vee: adding p k 2 rho^vee
+    # pushes the image into the dominant cone and keeps beta's class mod pQ^vee
+    push = [int(2 / d) * p for d in oracles.symmetrizer(cartan)]
+    image = affine.affine_apply(rs, AffineWeylElement(Weight(beta), word), base, level)
+    k = max(0, *(-(x // step) for x, step in zip(image, push)))
+    beta = [b + k * step for b, step in zip(beta, push)]
+    g = AffineWeylElement(_lattice_shape(beta, data.draw(st.sampled_from(
+        ["weight", "tuple", "fraction"]))), word)
+    if oracles.in_p_coroot_lattice(cartan, p, beta):
+        assert list(translate.make_character(rs, base, {g: 3}, level).coeffs.values()) == [3]
+    else:
+        with pytest.raises(DomainError, match="is not the canonical element for its image"):
+            translate.make_character(rs, base, {g: 3}, level)
+
+
+@pytest.mark.parametrize("shape", ["tuple", "fraction"])
+def test_make_character_lattice_test_reads_tuple_and_fraction_translations(shape):
+    # B2 at 5/1: [5,0] is 5 times the short root alpha1 + alpha2, in 5Q but
+    # not in 5Q^vee; [10,0] is in 5Q^vee
+    B2 = root_system("B2")
+    outside = AffineWeylElement(_lattice_shape([5, 0], shape), IDENTITY)
+    inside = AffineWeylElement(_lattice_shape([10, 0], shape), IDENTITY)
+    assert translate.make_character(B2, [0, 0], {inside: 1}, P5).coeffs == {inside: 1}
+    with pytest.raises(DomainError, match=r"^key .* is not the canonical element "
+                                          r"for its image \[5,0\]$"):
+        translate.make_character(B2, [0, 0], {outside: 1}, P5)
+
+
+def test_make_character_tests_a_far_key_without_walking():
+    # 10**30 (alpha1 + alpha2): the alcove walk from its image would pass its
+    # cap of 10**6 steps; the lattice test reads two rows of the form
+    g = AffineWeylElement(Weight([10 ** 30, 10 ** 30]), IDENTITY)
+    assert translate.make_character(A2, [0, 0], {g: 1}, P5).coeffs == {g: 1}
+
+
+# t_beta with beta in pQ but not in pQ^vee: the public lattice check accepts it, so
+# g . lam is not linked to lam and the survivor search keeps nothing
+@pytest.mark.xfail(strict=True, raises=InternalInconsistencyError,
+                   reason="ROADMAP item 2: the lattice check accepts pQ, not pQ^vee")
+@pytest.mark.parametrize("name, beta, p", [("G2", [12, -6], 6), ("B2", [-7, 14], 7)],
+                         ids=["G2", "B2"])
+def test_verma_translation_outside_the_walks_lattice_is_a_domain_error(name, beta, p):
+    g = AffineWeylElement(Weight(beta), IDENTITY)
+    with pytest.raises(DomainError):
+        translate.translate_verma(root_system(name), g, [0, 0], [0, 0], Level(p, 1))
+
+
 def test_make_character_rejects_wall_base():
     with pytest.raises(DomainError):
         translate.make_character(A1, Weight([4]), {}, P5)
