@@ -6,9 +6,9 @@ acts through the dot action ``(t_beta, w) . lam = w . lam + beta``.  The
 shifted level t = p/q represents k + (dual Coxeter number); the fundamental
 alcove is cut out by ``lam + rho`` dominant and ``0 < (lam + rho, theta) < p``.
 
-Every walk into the closed fundamental alcove is :func:`_alcove_walk`: the
-finite dominant walk of :mod:`weyl`, alternated with the reflection through
-the wall ``(lam + rho, theta) = p``.
+Every walk into the closed fundamental alcove is :func:`_alcove_walk`: a
+reduction modulo ``pQ^vee``, then the finite dominant walk of :mod:`weyl`,
+alternated with the reflection through the wall ``(lam + rho, theta) = p``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from math import gcd
 from operator import add, mul, sub
 
 from . import weyl
-from .errors import DomainError, InexactCoordinateError, IterationLimitError
+from .errors import DomainError, InexactCoordinateError
 from .rootsys import (RootSystem, Weight, _as_instance, _as_weight, _Frozen, _root_numerator,
                       _trusted, root_coords)
 from .weyl import IDENTITY, WeylElement
 
-_ALCOVE_WALK_CAP = 10 ** 6
 _DOMINANT_BOX_CAP = 10 ** 7
 
 
@@ -52,6 +51,8 @@ class Level(_Frozen):
         if isinstance(t, float):
             raise InexactCoordinateError(f"floating point level {t!r} is not allowed")
         try:
+            if type(t) is bool:  # bool is no level
+                raise TypeError
             t = Fraction(t)
         except (TypeError, ValueError, ZeroDivisionError):
             raise DomainError(f"malformed level {t!r}") from None
@@ -71,8 +72,8 @@ def _as_level(level) -> Level:
 
 
 class AffineWeylElement(_Frozen):
-    """(t_beta, w): translation part beta (a weight in p times the root
-    lattice) and finite part w.  The pair is the canonical form."""
+    """(t_beta, w): translation part beta and finite part w, the canonical form.  The walk's
+    group ``W x pQ^vee`` has beta in ``pQ^vee``; the public check still accepts ``pQ``."""
 
     __slots__ = ("translation", "finite")
 
@@ -161,6 +162,20 @@ def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
     return (_trusted if type(g.translation) is Weight and lam.is_integral else Weight)(image)
 
 
+def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> AffineWeylElement:
+    """``g`` at ``level``, respelled canonically, as the label of a dominant ``g . base`` over a
+    checked ``base`` in the open alcove: the one label check of characters and submodule labels."""
+    g = _as_group_element(rs, g, level, what)
+    g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+    image = _dot(rs, g, base)
+    if not image.is_dominant:
+        raise DomainError(f"{what} {g} sends {base} to {image}, outside the dominant cone")
+    # base is in the open alcove, so the walk from g . base returns g iff g is in W x pQ^vee
+    if any(sum(map(mul, row, g.translation)) % (level.p * rs.form_den) for row in rs.form_int):
+        raise DomainError(f"{what} {g} is not the canonical element for its image {image}")
+    return g
+
+
 def theta_wall_reflection(rs: RootSystem, level: Level) -> AffineWeylElement:
     """The affine reflection through the wall (lam + rho, theta) = p."""
     return AffineWeylElement(_as_level(level).p * rs.theta, _theta_reflection(rs))
@@ -220,22 +235,26 @@ def _as_alcove_weight(rs: RootSystem, wt, level: Level, what: str = "weight", *,
 def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -> list:
     """Walk ``x = lam + rho`` in place into the closed fundamental alcove.
 
-    Alternates the finite dominant walk with the reflection through the wall
-    ``(x, theta) = p``.  When ``letters`` is a list, the finite part of each
-    step is appended to it: a simple index for a finite reflection, the word
-    of ``s_theta`` for the wall.  Returns ``x``.
+    First reduces ``x`` mod ``pQ^vee``, in the walk's group: ``x = sum_j (omega_j, x)
+    alpha_j^vee`` loses ``p floor((omega_j, x) / p) alpha_j^vee`` for each ``j``.  Then it
+    alternates the finite dominant walk with the reflection through the wall ``(x, theta) = p``;
+    each step crosses one of the boundedly many walls between the reduced box and the alcove.
+    When ``letters`` is a list, the finite part of each step is appended to it: a simple index
+    for a finite reflection, the word of ``s_theta`` for the wall.  Returns ``x``.
     """
-    theta = rs.theta
-    for _ in range(_ALCOVE_WALK_CAP):
+    den = rs.form_den
+    for row, alpha in zip(rs.form_int, rs.simple_roots):  # alpha^vee = alpha / (omega_j, alpha)
+        k = sum(map(mul, row, x)) // (p * den) * p * (den // sum(map(mul, row, alpha)))
+        x[:] = [c - k * a for c, a in zip(x, alpha)]
+    while True:
         weyl._dominant_walk(rs, x, letters)
         excess = _theta_height(rs, x) - p
         if excess <= 0:
             return x
-        for k, t in enumerate(theta):
+        for k, t in enumerate(rs.theta):
             x[k] -= excess * t
         if letters is not None:
             letters.extend(_theta_reflection(rs).word)
-    raise IterationLimitError("alcove walk did not terminate within the cap")
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -248,19 +267,18 @@ def _alcove_rep_coords(rs: RootSystem, coords: tuple, p: int) -> tuple:
 def alcove_rep(rs: RootSystem, lam, level: Level):
     """Alcove representative with group element and regularity flag.
 
-    Returns ``(rep, g, regular)`` where ``rep`` lies in the closed fundamental
-    alcove and ``affine_apply(rs, g, rep, level) == lam``.  The walk
-    alternates the finite dominant-representative step with the reflection
-    through the wall ``(mu, theta) = p`` applied to ``mu = lam + rho``.
+    Returns ``(rep, g, regular)`` where ``rep`` lies in the closed fundamental alcove and
+    ``affine_apply(rs, g, rep, level) == lam``, by :func:`_alcove_walk` from ``lam + rho``.  On a
+    wall several ``g`` meet that contract; this is the walk's from the point reduced mod ``pQ^vee``.
     """
     lam = _as_weight(rs, lam, integral=True)
     p = _as_level(level).p
     letters: list[int] = []
     x = _alcove_walk(rs, [c + 1 for c in lam], p, letters)
     rep = _trusted(map(sub, x, rs.rho))
-    # Every step is an involution, so g = L_1 ... L_k for the steps in walk
-    # order.  Its finite part is the word of their finite parts; its
-    # translation then follows from g . rep = lam: lam + rho - w(x).
+    # The reduction is a translation and every step an involution, so g = t L_1 ... L_k for the
+    # steps in walk order.  Its finite part is the word of their finite parts; its translation
+    # then follows from g . rep = lam: lam + rho - w(x).
     w = weyl.canonical_from_word(rs, letters)
     moved = weyl._apply_word(rs, w.word, x)
     g = AffineWeylElement(_trusted(map(sub, map(add, lam, rs.rho), moved)), w)

@@ -9,7 +9,7 @@ survivor search of :mod:`translate`.
 
 from __future__ import annotations
 
-from . import affine, weyl
+from . import affine
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
 from .rootsys import RootSystem, Weight, _a_or_an, _as_instance, _as_weight, _Frozen
@@ -25,26 +25,18 @@ class SubmoduleLabels(_Frozen):
 
 
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:
-    """Validated label set: non-identity generators with dominant images."""
+    """Validated label set: non-identity generators that pass :func:`affine._as_label`."""
     base = _as_alcove_weight(rs, base, level, "base")
     try:
         gens = frozenset(generators)
     except TypeError:
         raise DomainError(f"generators must be a collection of group elements, "
                           f"got {_a_or_an(type(generators).__name__)}") from None
-    respelled = frozenset(
-        AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
-        for g in (affine._as_group_element(rs, g, level, "generator") for g in gens))
+    respelled = frozenset(affine._as_label(rs, g, base, level, "generator") for g in gens)
+    if any(g.is_identity for g in respelled):
+        raise DomainError("the identity labels the whole module, not a proper submodule")
     if respelled != gens:  # else keep the caller's set: transport follows its order
         gens = respelled
-    for g in gens:
-        if g.is_identity:
-            raise DomainError("the identity labels the whole module, "
-                              "not a proper submodule")
-        image = affine._dot(rs, g, base)
-        if not image.is_dominant:
-            raise DomainError(f"generator {g} sends {base} to {image}, "
-                              "outside the dominant cone")
     return SubmoduleLabels(base=base, level=level, generators=gens)
 
 

@@ -13,7 +13,7 @@ canonical affine Weyl group elements.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import affine, finchar, weyl
 from .affine import AffineWeylElement, Level, _as_alcove_weight, _residue
@@ -197,25 +197,15 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
     if not hasattr(coeffs, "items"):
         raise DomainError(f"coefficients must map group elements to integers, "
                           f"got {_a_or_an(type(coeffs).__name__)}")
-    cleaned, modulus = {}, level.p * rs.form_den
+    cleaned = {}
     for g, c in coeffs.items():
         if type(c) is not int:  # bool is no coefficient
             raise DomainError(f"coefficient {c!r} is not an int")
         if c == 0:
             continue
-        g = affine._as_group_element(rs, g, level, "key")
-        g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
-        if g in cleaned:
+        g = affine._as_label(rs, g, base, level, "key")
+        if g in cleaned:  # a second spelling passes the label check as the first did
             raise DomainError(f"two keys spell the element {g}")
-        image = affine._dot(rs, g, base)
-        if not image.is_dominant:
-            raise DomainError(f"key {g} sends {base} to {image}, "
-                              "outside the dominant cone")
-        # base is in the open alcove, so the alcove walk from g . base returns g
-        # iff g is in W x pQ^vee: iff (omega_j, beta) is in pZ for every j
-        if any(sum(map(mul, row, g.translation)) % modulus for row in rs.form_int):
-            raise DomainError(f"key {g} is not the canonical element "
-                              f"for its image {image}")
         cleaned[g] = c
     return LinkageCharacter(level, base, {g: cleaned[g] for g in _in_order(rs, cleaned)})
 

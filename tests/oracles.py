@@ -9,8 +9,9 @@ structures, so agreement with the library is a real check.  Tensor products
 come from those characters and the group's matrices, and so does the
 pair-by-pair check of the weight-geometry lemma.  The two dense box filters
 are the references for the library's walks over dominant weights.  The
-lattice ``pQ^vee`` and the alcove's special automorphisms are read off the
-Cartan matrix and the highest root at the end.
+lattice ``pQ^vee``, the alcove's special automorphisms and an alcove walk
+that crosses one wall per step are read off the Cartan matrix and the
+highest root at the end.
 """
 
 from __future__ import annotations
@@ -375,16 +376,14 @@ def in_p_coroot_lattice(cartan, p, beta) -> bool:
 
 
 def _longest(cartan, nodes):
-    """The longest element of the subgroup generated by ``s_i``, ``i`` in ``nodes``:
-    the one element of the last breadth-first level."""
-    gens = [reflection_matrices(cartan)[i] for i in nodes]
-    seen = level = {_identity(len(cartan))}
-    while True:
-        step = {_mat_mul(m, s) for m in level for s in gens} - seen
-        if not step:
-            (longest,) = level
-            return longest
-        seen, level = seen | step, step
+    """The longest element of the subgroup generated by ``s_i``, ``i`` in ``nodes``: it
+    sends ``x`` with ``x_i = -1`` at every node to the chamber where those ``x_i`` are
+    positive, so it is the product of the reflections that walk ``x`` there."""
+    gens, n = reflection_matrices(cartan), len(cartan)
+    x, longest = [-(i in nodes) for i in range(n)], _identity(n)
+    while (i := next((i for i in nodes if x[i] < 0), None)) is not None:
+        x, longest = _mat_vec(gens[i], x), _mat_mul(gens[i], longest)
+    return longest
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,3 +403,31 @@ def apply_automorphism(omega, p, lam) -> tuple:
     """``omega = (i, w)`` of :func:`alcove_automorphisms` at ``p`` on the weight ``lam``."""
     i, w = omega
     return tuple(c + p * (j == i) - 1 for j, c in enumerate(_mat_vec(w, [c + 1 for c in lam])))
+
+
+def alcove_walk(cartan, p, lam) -> tuple:
+    """Reference for the alcove walk at level ``p``, with no reduction first: reflect
+    ``x = lam + rho`` in the first simple wall it lies below, else in the wall
+    ``<x, theta^vee> = p`` while it lies above, keeping ``g(y) = M y + t`` with
+    ``g(x) = lam + rho``.  Returns ``(rep, M, t, regular, inside)``: ``rep = x - rho``,
+    the dot action's finite part ``M`` (a matrix) and translation ``t``, whether no
+    ``<x, alpha^vee>`` lies in ``pZ``, and whether ``rep`` is in the open alcove."""
+    n, roots = len(cartan), positive_roots(cartan)
+    coroots = [coroot(cartan, symmetrizer(cartan), rc) for rc in roots]
+    theta, gens = _mat_vec(cartan, roots[-1]), reflection_matrices(cartan)  # theta^vee = theta
+    s_theta = tuple(tuple(int(i == j) - theta[i] * coroots[-1][j] for j in range(n))
+                    for i in range(n))
+    x, m, t = tuple(c + 1 for c in lam), _identity(n), (0,) * n
+    while True:
+        i = next((i for i in range(n) if x[i] < 0), None)
+        height = sum(c * v for c, v in zip(coroots[-1], x))
+        if i is not None:
+            x, m = _mat_vec(gens[i], x), _mat_mul(m, gens[i])
+        elif height > p:  # x -> s_theta(x) + p theta, so g(y) -> g(s_theta(y) + p theta)
+            x = tuple(c - (height - p) * h for c, h in zip(x, theta))
+            t = tuple(a + p * b for a, b in zip(t, _mat_vec(m, theta)))
+            m = _mat_mul(m, s_theta)
+        else:
+            break
+    regular = all(sum(c * v for c, v in zip(row, x)) % p for row in coroots)
+    return tuple(c - 1 for c in x), m, t, regular, min(x) > 0 and height < p

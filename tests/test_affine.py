@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,7 +74,7 @@ def test_level_from_shifted_refuses_float():
         Level.from_shifted(2.5)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", None])
+@pytest.mark.parametrize("bad", ["abc", "1/0", None, True])
 def test_level_from_shifted_refuses_malformed(bad):
     with pytest.raises(DomainError, match="malformed level"):
         Level.from_shifted(bad)
@@ -221,6 +222,58 @@ def test_alcove_rep_roundtrip_random(name, p):
         walls = [v % p == 0 for v in coroot_pairings(rs, lam + rs.rho)]
         assert regular == (not any(walls))
         assert regular == affine.is_regular(rs, lam, level)
+
+
+WALK_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_alcove_rep_matches_the_unreduced_walk(data):
+    # the library reduces lam + rho mod pQ^vee before it walks; the oracle crosses
+    # one wall per step from lam + rho itself.  Off the walls g is unique.
+    name = data.draw(st.sampled_from(WALK_TYPES))
+    rs, cartan = root_system(name), oracles.cartan_matrix(name[0], int(name[1:]))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6)), 1)
+    lam = Weight(data.draw(st.lists(st.integers(-40, 40), min_size=rs.rank, max_size=rs.rank)))
+    rep, g, regular = affine.alcove_rep(rs, lam, level)
+    ref_rep, ref_finite, ref_translation, ref_regular, inside = oracles.alcove_walk(
+        cartan, level.p, lam)
+    assert (rep, regular) == (ref_rep, ref_regular)
+    if inside:
+        assert oracles.word_matrix(cartan, g.finite.word) == ref_finite
+        assert g.translation == ref_translation
+    assert affine.affine_apply(rs, g, rep, level) == lam
+
+
+def _at_once(call):
+    start = time.perf_counter()
+    value = call()
+    assert time.perf_counter() - start < 0.1
+    return value
+
+
+def test_far_weights_answer_at_once():
+    # 10**7 and 10**30 lie about 10**6 and 10**29 walls from the alcove
+    rep, g, regular = _at_once(lambda: affine.alcove_rep(A2, Weight([10 ** 7, 0]), P5))
+    assert (rep, g.finite.word, regular) == (Weight([0, 2]), (0, 1), True)
+    assert rootsys.root_coords(A2, g.translation) == (6666670, 3333335)
+    assert _at_once(lambda: affine.linked(A2, [10 ** 30, 0], [0, 2], P5))
+    assert not _at_once(lambda: affine.linked(A2, [10 ** 30, 0], [2, 0], P5))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
+def test_a_far_translate_by_pq_coroot_keeps_the_representative(name):
+    # t_{N p theta} is in the walk's group (theta is long), so mu + N p theta has
+    # mu's representative; the walk is reduced first, so N = 10**30 costs nothing
+    rs = root_system(name)
+    level = Level(rs.dual_coxeter + 3, 1)
+    for mu in ([0] * rs.rank, [2] + [-3] * (rs.rank - 1), [-7] * rs.rank):
+        far = Weight(m + 10 ** 30 * level.p * t for m, t in zip(mu, rs.theta))
+        rep, g, regular = _at_once(lambda: affine.alcove_rep(rs, far, level))
+        assert (rep, regular) == affine.alcove_rep(rs, mu, level)[::2]
+        assert affine.affine_apply(rs, g, rep, level) == far
+        assert _at_once(lambda: affine.linked(rs, far, mu, level))
 
 
 # ---------------------------------------------------------------------------
@@ -793,3 +846,60 @@ def test_linkage_and_the_alcove_walk_commute_with_omega(data):
     assert affine.is_regular(rs, act(lam), level) == affine.is_regular(rs, lam, level)
     assert affine.linked(rs, act(lam), act(mu), level) == affine.linked(rs, lam, mu, level)
     assert affine.alcove_rep(rs, act(lam), level)[0] == act(rep)
+
+
+# ROADMAP item 16's larger types, for the same three properties
+LARGE_OMEGA_TYPES = ["A5", "B4", "C2", "C4", "D5", "E6"]
+
+
+@pytest.mark.parametrize("name", LARGE_OMEGA_TYPES)
+def test_alcove_sets_are_omega_stable_on_larger_types(name):
+    test_alcove_sets_are_omega_stable(name)  # the same check, at the same levels
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_linkage_and_the_alcove_walk_commute_with_omega_on_larger_types(data):
+    name = data.draw(st.sampled_from(LARGE_OMEGA_TYPES))
+    rs = root_system(name)
+    omega = data.draw(st.sampled_from(_omegas(name)))
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6)), 1)
+    weights = st.lists(st.integers(-8, 12), min_size=rs.rank, max_size=rs.rank)
+    lam, nu = Weight(data.draw(weights)), Weight(data.draw(weights))
+    rep, _, _ = affine.alcove_rep(rs, lam, level)
+    if data.draw(st.booleans()):  # a weight linked to lam: nu's element applied to rep
+        mu = affine.affine_apply(rs, affine.alcove_rep(rs, nu, level)[1], rep, level)
+    else:
+        mu = nu
+
+    def act(wt):
+        return oracles.apply_automorphism(omega, level.p, wt)
+
+    assert affine.is_regular(rs, act(lam), level) == affine.is_regular(rs, lam, level)
+    assert affine.linked(rs, act(lam), act(mu), level) == affine.linked(rs, lam, mu, level)
+    assert affine.alcove_rep(rs, act(lam), level)[0] == act(rep)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_translation_commutes_with_omega(data):
+    # omega normalises the walk's group, so omega g omega^-1 sends omega mu, which is in
+    # the open alcove, to omega (g . mu): it is the element alcove_rep finds there.
+    # translate_verma asks no dominance of its label, so any g of the group will do.
+    name = data.draw(st.sampled_from(["A2", "B2", "C3"]))
+    rs = root_system(name)
+    omega = data.draw(st.sampled_from(_omegas(name)))
+    # from h^vee + 2: C3 at 5/1 lists no admissible weight (ROADMAP item 2's walls)
+    level = Level(data.draw(st.integers(rs.dual_coxeter + 2, rs.dual_coxeter + 6)), 1)
+    admissible = annihilator.admissible_list(rs, level)
+    mu, lam = data.draw(st.sampled_from(admissible)), data.draw(st.sampled_from(admissible))
+    nu = data.draw(st.lists(st.integers(-8, 12), min_size=rs.rank, max_size=rs.rank))
+    g = affine.alcove_rep(rs, nu, level)[1]
+
+    def act(wt):
+        return Weight(oracles.apply_automorphism(omega, level.p, wt))
+
+    rep, g_omega, _ = affine.alcove_rep(rs, act(affine.affine_apply(rs, g, mu, level)), level)
+    assert rep == act(mu)
+    assert translate.translate_verma(rs, g_omega, act(mu), act(lam), level) == \
+        act(affine.affine_apply(rs, g, lam, level))

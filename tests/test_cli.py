@@ -275,6 +275,23 @@ def test_transport_keeps_the_default_cap_refusal(capsys):
     assert (code, out, err) == (1, "", "error: dimension product 2186919 exceeds cap 1000000\n")
 
 
+def test_transport_refuses_a_generator_outside_the_walks_lattice(capsys):
+    # B2 at 7/1: t[7,7] (root coordinates) is 7 times the short root alpha1 + alpha2, in
+    # 7Q but not in 7Q^vee; the label check refuses it before any survivor search
+    code, out, err = run(capsys, "transport", "B2", "--level", "7/1", "--to", "[0,1]",
+                         "--generators", "t[7,7]")
+    assert (code, out) == (1, "")
+    assert err == ("error: generator AffineWeylElement(translation=Weight('[7,0]'), "
+                   "finite=WeylElement(word=())) is not the canonical element "
+                   "for its image [7,0]\n")
+    assert "survivors" not in err
+
+
+def test_alcove_answers_a_far_weight(capsys):
+    code, out, err = run(capsys, "alcove", "A2", "[10000000,0]", "--level", "5/1")
+    assert (code, out, err) == (0, "rep=[0,2] g=t[6666670,3333335]*s1s2 regular=true\n", "")
+
+
 # ---------------------------------------------------------------------------
 # remaining commands
 

@@ -3,6 +3,7 @@ subcommand loads in a fresh interpreter."""
 
 from __future__ import annotations
 
+import doctest
 import pickle
 import subprocess
 import sys
@@ -48,6 +49,12 @@ def test_unknown_name_is_attribute_error():
         afftrans.nope
     with pytest.raises(ImportError):
         from afftrans import nope  # noqa: F401
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert (failed, attempted) == (0, 8)
 
 
 def test_records_pickle_through_the_package():

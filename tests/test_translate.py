@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -338,11 +339,18 @@ def test_make_character_refuses_exactly_the_keys_outside_the_walks_lattice(data)
     beta = [b + k * step for b, step in zip(beta, push)]
     g = AffineWeylElement(_lattice_shape(beta, data.draw(st.sampled_from(
         ["weight", "tuple", "fraction"]))), word)
+    # make_labels runs the same label check, and refuses the identity besides
+    label = not (weyl.canonical_from_word(rs, word.word).is_identity and not any(beta))
     if oracles.in_p_coroot_lattice(cartan, p, beta):
         assert list(translate.make_character(rs, base, {g: 3}, level).coeffs.values()) == [3]
+        if label:
+            assert len(annihilator.make_labels(rs, base, [g], level).generators) == 1
     else:
         with pytest.raises(DomainError, match="is not the canonical element for its image"):
             translate.make_character(rs, base, {g: 3}, level)
+        with pytest.raises(DomainError, match="^generator .* is not the canonical element "
+                                              "for its image"):
+            annihilator.make_labels(rs, base, [g], level)
 
 
 @pytest.mark.parametrize("shape", ["tuple", "fraction"])
@@ -359,10 +367,19 @@ def test_make_character_lattice_test_reads_tuple_and_fraction_translations(shape
 
 
 def test_make_character_tests_a_far_key_without_walking():
-    # 10**30 (alpha1 + alpha2): the alcove walk from its image would pass its
-    # cap of 10**6 steps; the lattice test reads two rows of the form
+    # 10**30 (alpha1 + alpha2): an alcove walk from its image crossing one wall per
+    # step would take about 10**29 steps; the lattice test reads two rows of the form
     g = AffineWeylElement(Weight([10 ** 30, 10 ** 30]), IDENTITY)
     assert translate.make_character(A2, [0, 0], {g: 1}, P5).coeffs == {g: 1}
+
+
+def test_translate_verma_answers_a_far_label_at_once():
+    # t_{5 * 10**7 theta} sends 0 about 10**7 walls from the alcove; the survivor
+    # search's linkage filter reduces each term mod pQ^vee before it walks
+    g = AffineWeylElement(Weight([5 * 10 ** 7, 5 * 10 ** 7]), IDENTITY)
+    start = time.perf_counter()
+    assert translate.translate_verma(A2, g, [0, 0], [1, 0], P5) == Weight([50000001, 50000000])
+    assert time.perf_counter() - start < 0.1
 
 
 # t_beta with beta in pQ but not in pQ^vee: the public lattice check accepts it, so
