@@ -1,10 +1,10 @@
 """Affine Weyl group at rational shifted level, alcoves and linkage.
 
-The group the alcove walk generates is ``W x pQ^vee`` (``Q^vee`` is spanned by
-the long roots), though the public lattice check still accepts ``pQ``.  It
-acts through the dot action ``(t_beta, w) . lam = w . lam + beta``.  The
-shifted level t = p/q represents k + (dual Coxeter number); the fundamental
-alcove is cut out by ``lam + rho`` dominant and ``0 < (lam + rho, theta) < p``.
+The group is the one the alcove walk generates, ``W x pQ^vee`` (``Q^vee`` is
+spanned by the long roots).  It acts through the dot action
+``(t_beta, w) . lam = w . lam + beta``.  The shifted level t = p/q represents
+k + (dual Coxeter number); the fundamental alcove is cut out by ``lam + rho``
+dominant and ``0 < (lam + rho, theta) < p``.
 
 Every walk into the closed fundamental alcove is :func:`_alcove_walk`: a
 reduction modulo ``pQ^vee``, then the finite dominant walk of :mod:`weyl`,
@@ -72,8 +72,8 @@ def _as_level(level) -> Level:
 
 
 class AffineWeylElement(_Frozen):
-    """(t_beta, w): translation part beta and finite part w, the canonical form.  The walk's
-    group ``W x pQ^vee`` has beta in ``pQ^vee``; the public check still accepts ``pQ``."""
+    """(t_beta, w): translation part beta and finite part w, the canonical form; at a level
+    beta lies in ``pQ^vee``."""
 
     __slots__ = ("translation", "finite")
 
@@ -93,15 +93,15 @@ _set_finite = AffineWeylElement.finite.__set__
 def _as_group_element(rs: RootSystem, g, level: Level | None = None,
                       what: str = "g") -> AffineWeylElement:
     """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite part and a
-    translation of the right rank, in ``pQ`` when ``level`` is given: the one group-element
+    translation of the right rank, in ``pQ^vee`` when ``level`` is given: the one group-element
     check of the public API.  Word letters are checked where the word is applied or respelled."""
     g = _as_instance(g, AffineWeylElement, what)
     _as_instance(g.finite, WeylElement, f"finite part of {what}")
     beta = _as_weight(rs, g.translation, f"translation of {what}")
     if level is not None:
-        p = _as_level(level).p
-        if any(_residue(rs, beta, p)):
-            raise DomainError(f"translation {beta} is not in {p}Q "
+        p = _as_level(level).p  # beta is in pQ^vee iff (omega_j, beta) is in pZ for every j
+        if any(sum(map(mul, row, beta)) % (p * rs.form_den) for row in rs.form_int):
+            raise DomainError(f"translation {beta} is not in {p}Q^vee "
                               f"(root coords {root_coords(rs, beta)})")
     return g
 
@@ -143,7 +143,7 @@ def inverse_affine(rs: RootSystem, g: AffineWeylElement) -> AffineWeylElement:
 
 
 def translation_lattice_coords(rs: RootSystem, g: AffineWeylElement, level: Level) -> tuple[int, ...]:
-    """Root-basis coordinates of the translation part; must lie in p Q."""
+    """Root-basis coordinates of the translation part, which lies in ``pQ^vee``."""
     return root_coords(rs, _as_group_element(rs, g, level).translation)
 
 
@@ -155,24 +155,22 @@ def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Wei
 
 def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
     """``g . lam`` for ``g`` checked at a level and a checked ``lam``; letters are checked as
-    they are applied.  Unchecked from an integral ``lam`` and a ``Weight`` translation (in pQ, so
-    integral); else by ``Weight``, which stores a rational's ``Fraction(2, 1)`` as ``2``."""
+    they are applied.  Unchecked from an integral ``lam`` and a ``Weight`` translation (in
+    pQ^vee, so integral); else by ``Weight``, which stores ``Fraction(2, 1)`` as ``2``."""
     x = weyl._apply_word(rs, g.finite.word, map(add, lam, rs.rho))
     image = map(add, map(sub, x, rs.rho), g.translation)
     return (_trusted if type(g.translation) is Weight and lam.is_integral else Weight)(image)
 
 
 def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> AffineWeylElement:
-    """``g`` at ``level``, respelled canonically, as the label of a dominant ``g . base`` over a
-    checked ``base`` in the open alcove: the one label check of characters and submodule labels."""
+    """``g`` at ``level``, respelled canonically, as the label of a dominant ``g . base``: the one
+    label check of characters and submodule labels.  Only the identity of ``W x pQ^vee`` fixes a
+    point of the open alcove, where ``base`` lies, so ``g`` is the walk's element for its image."""
     g = _as_group_element(rs, g, level, what)
     g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
     image = _dot(rs, g, base)
     if not image.is_dominant:
         raise DomainError(f"{what} {g} sends {base} to {image}, outside the dominant cone")
-    # base is in the open alcove, so the walk from g . base returns g iff g is in W x pQ^vee
-    if any(sum(map(mul, row, g.translation)) % (level.p * rs.form_den) for row in rs.form_int):
-        raise DomainError(f"{what} {g} is not the canonical element for its image {image}")
     return g
 
 

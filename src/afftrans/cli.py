@@ -110,8 +110,6 @@ def _parse_element(rs: RootSystem, level, text: str):
     if t == "e":
         return affine.identity_element(rs.rank)
     if t == "saff":
-        if level is None:
-            raise UsageError("element 'saff' needs a level")
         return affine.theta_wall_reflection(rs, level)
     parts = t.split("*")
     trans = Weight.zero(rs.rank)

@@ -30,4 +30,5 @@ class InternalInconsistencyError(AfftransError):
 
 
 class IterationLimitError(InternalInconsistencyError):
-    """An iteration cap was hit; converts a potential endless loop into an error."""
+    """An iteration cap was hit.  No walk in this version has a step cap, so nothing
+    raises it; it stays so that callers' ``except`` clauses stay valid."""

@@ -367,6 +367,14 @@ def dominant_box(marks, height):
             if sum(m * c for m, c in zip(marks, coords)) <= room]
 
 
+def simple_coroots(cartan) -> list[tuple[int, ...]]:
+    """``alpha_i^vee = alpha_i / d_i`` in fundamental coordinates: column ``i`` of the
+    Cartan matrix over ``d_i = (alpha_i, alpha_i) / 2``, 1 for a long root."""
+    n = len(cartan)
+    return [_as_int_vector([cartan[j][i] / d for j in range(n)])
+            for i, d in enumerate(symmetrizer(cartan))]
+
+
 def in_p_coroot_lattice(cartan, p, beta) -> bool:
     """Whether ``beta`` (fundamental coordinates) lies in ``p Q^vee``, the translations
     of the group the alcove walk generates: ``alpha_i^vee = alpha_i / d_i``, so root

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import afftrans
@@ -135,7 +135,8 @@ def test_residues_read_the_lattice_pq(data):
 
 def test_fractional_translation_refusal_keeps_its_text():
     g = translation_element(A2, Weight([Fraction(1, 2), 0]))
-    message = "translation [1/2,0] is not in 5Q (root coords (Fraction(1, 3), Fraction(1, 6)))"
+    message = ("translation [1/2,0] is not in 5Q^vee "
+               "(root coords (Fraction(1, 3), Fraction(1, 6)))")
     with pytest.raises(DomainError, match=re.escape(message) + "$"):
         affine.affine_apply(A2, g, Weight([0, 0]), P5)
 
@@ -146,6 +147,56 @@ def test_translation_lattice_coords():
     assert affine.translation_lattice_coords(A2, g, Level(4, 1)) == (4, 8)
 
 
+GROUP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+
+
+@st.composite
+def _root_lattice_elements(draw):
+    """``(rs, cartan, level, beta, g)``: ``g`` has a drawn word and the translation
+    ``beta = p sum c_i alpha_i`` in pQ, held as a ``Weight``, an int tuple or a ``Fraction``
+    tuple; on B2, B3, C3 and G2 it is often outside pQ^vee."""
+    name = draw(st.sampled_from(GROUP_TYPES))
+    rs, cartan = root_system(name), oracles.cartan_matrix(name[0], int(name[1:]))
+    p = draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6))
+    cs = draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank))
+    beta = tuple(p * sum(c * alpha[j] for c, alpha in zip(cs, rs.simple_roots))
+                 for j in range(rs.rank))
+    held = draw(st.sampled_from([Weight(beta), beta, tuple(map(Fraction, beta))]))
+    word = tuple(draw(st.lists(st.integers(0, rs.rank - 1), max_size=6)))
+    return rs, cartan, Level(p, 1), beta, AffineWeylElement(held, WeylElement(word))
+
+
+def _integral_weights(rank):
+    return st.lists(st.integers(-4, 6), min_size=rank, max_size=rank).map(Weight)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_the_group_element_check_accepts_exactly_p_coroot_lattice(data):
+    rs, cartan, level, beta, g = data.draw(_root_lattice_elements())
+    lam = data.draw(_integral_weights(rs.rank))
+    if oracles.in_p_coroot_lattice(cartan, level.p, beta):
+        image = weyl.apply(rs, g.finite, lam, shifted=True) + Weight(beta)
+        assert affine.affine_apply(rs, g, lam, level) == image
+    else:
+        coords = tuple(int(c) for c in oracles.root_coordinates(cartan, beta))
+        message = f"translation {Weight(beta)} is not in {level.p}Q^vee (root coords {coords})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            affine.affine_apply(rs, g, lam, level)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_every_element_the_check_accepts_keeps_its_image_linked(data):
+    rs, _, level, _, g = data.draw(_root_lattice_elements())
+    lam = data.draw(_integral_weights(rs.rank))
+    try:
+        image = affine.affine_apply(rs, g, lam, level)
+    except DomainError:
+        assume(False)
+    assert affine.linked(rs, image, lam, level)
+
+
 @pytest.mark.parametrize("name,p", [("A1", 5), ("A2", 4), ("B2", 7), ("G2", 7)])
 def test_compose_inverse_laws(name, p):
     rs = root_system(name)
@@ -153,10 +204,10 @@ def test_compose_inverse_laws(name, p):
     rng = random.Random(42)
     elements = weyl.enumerate_elements(rs)
 
-    def random_element():
+    def random_element():  # translation in pQ^vee
         beta = Weight([0] * rs.rank)
-        for col in rs.simple_roots:
-            beta = beta + (p * rng.randint(-2, 2)) * col
+        for coroot in oracles.simple_coroots(rs.cartan):
+            beta = beta + (p * rng.randint(-2, 2)) * Weight(coroot)
         return AffineWeylElement(beta, rng.choice(elements))
 
     for _ in range(50):

@@ -275,16 +275,54 @@ def test_transport_keeps_the_default_cap_refusal(capsys):
     assert (code, out, err) == (1, "", "error: dimension product 2186919 exceeds cap 1000000\n")
 
 
-def test_transport_refuses_a_generator_outside_the_walks_lattice(capsys):
+def _refuses_t77_by_its_root_coords(capsys, *argv):
     # B2 at 7/1: t[7,7] (root coordinates) is 7 times the short root alpha1 + alpha2, in
-    # 7Q but not in 7Q^vee; the label check refuses it before any survivor search
-    code, out, err = run(capsys, "transport", "B2", "--level", "7/1", "--to", "[0,1]",
-                         "--generators", "t[7,7]")
+    # 7Q but not in 7Q^vee; the group-element check refuses it before any survivor search
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == ("error: generator AffineWeylElement(translation=Weight('[7,0]'), "
-                   "finite=WeylElement(word=())) is not the canonical element "
-                   "for its image [7,0]\n")
+    assert err == "error: translation [7,0] is not in 7Q^vee (root coords (7, 7))\n"
     assert "survivors" not in err
+
+
+def test_transport_refuses_a_generator_outside_the_walks_lattice(capsys):
+    _refuses_t77_by_its_root_coords(capsys, "transport", "B2", "--level", "7/1",
+                                    "--to", "[0,1]", "--generators", "t[7,7]")
+
+
+def test_translate_weyl_refuses_an_element_outside_the_walks_lattice(capsys):
+    _refuses_t77_by_its_root_coords(capsys, "translate-weyl", "B2", "--level", "7/1",
+                                    "--element", "t[7,7]", "--from", "[0,0]", "--to", "[0,1]")
+
+
+_A1_TRANSLATE = ("translate-weyl", "A1", "--level", "5/1", "--from", "[0]", "--to", "[1]")
+_A1_CHAR = ("translate-char", "A1", "--level", "5/1", "--from", "[0]", "--to", "[2]")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("alcove", "A1", "7", "--level", "5/1"), 2, "",
+     "usage: afftrans alcove [-h] [--format {records,json-lines}] [--cap CAP]\n"
+     "                       [--level LEVEL | --k K]\n"
+     "                       type weight\n"
+     "afftrans alcove: error: argument weight: malformed weight '7': expected [a,b,...]\n"),
+    (("alcove", "A1", "[7]", "--level", "x"), 2, "", "error: malformed level 'x'\n"),
+    (_A1_TRANSLATE + ("--element", ""), 2, "", "error: empty group element\n"),
+    (("translate-weyl", "A2", "--level", "5/1", "--element", "t[5]",
+      "--from", "[0,0]", "--to", "[1,0]"), 2, "",
+     "error: translation 't[5]' has wrong rank for A2\n"),
+    (_A1_TRANSLATE + ("--element", "t[x]"), 2, "", "error: malformed translation 't[x]'\n"),
+    (_A1_TRANSLATE + ("--element", "t[5]*s1*s1"), 2, "",
+     "error: malformed element 't[5]*s1*s1'\n"),
+    (_A1_CHAR + ("--char", "e"), 2, "",
+     "error: malformed character term 'e': expected <element>:<integer>\n"),
+    (_A1_CHAR + ("--char", "e:x"), 2, "", "error: malformed coefficient 'x'\n"),
+    (_A1_CHAR + ("--char", ""), 0, " @ base=[2]\n", ""),
+    (_A1_CHAR + ("--char", "e:1,saff:1", "--format", "json-lines"), 0,
+     '{"char": "e:1,saff:1", "base": "[2]"}\n', ""),
+], ids=["weight-without-brackets", "malformed-level", "empty-element", "wrong-rank-translation",
+        "malformed-translation", "two-words", "term-without-coefficient",
+        "malformed-coefficient", "empty-character", "character-as-json"])
+def test_parser_paths_print_exactly(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_alcove_answers_a_far_weight(capsys):

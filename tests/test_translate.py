@@ -296,9 +296,9 @@ def test_make_character_rejects_nondominant_image():
 
 
 def test_make_character_rejects_noncanonical_key():
-    # B2 at p=5: [0,2] sits strictly inside the alcove yet on a short-root
-    # wall, so a non-identity affine reflection fixes it; that reflection is
-    # not the canonical (minimal) element for the image it produces.
+    # B2 at p=5: [0,2] sits strictly inside the alcove and is fixed by a
+    # non-identity affine reflection whose translation [5,0] is 5 times a short
+    # root: in 5Q but not in 5Q^vee, so the group-element check refuses it.
     B2 = root_system("B2")
     base = Weight([0, 2])
     assert affine.in_fundamental_alcove(B2, base, P5, strict=True)
@@ -306,8 +306,8 @@ def test_make_character_rejects_noncanonical_key():
     stab = affine.compose_affine(
         B2, affine.translation_element(B2, Weight([5, 0])),
         affine.finite_element(B2, WeylElement((0, 1, 0))))
-    assert affine.affine_apply(B2, stab, base, P5) == base
-    with pytest.raises(DomainError, match="not the canonical element"):
+    assert _dot_formula(B2, stab, base) == base
+    with pytest.raises(DomainError, match=r"^translation \[5,0\] is not in 5Q\^vee "):
         translate.make_character(B2, base, {stab: 1}, P5)
 
 
@@ -334,7 +334,7 @@ def test_make_character_refuses_exactly_the_keys_outside_the_walks_lattice(data)
     # 2 rho^vee (fundamental coordinates 2 / d_j) is in Q^vee: adding p k 2 rho^vee
     # pushes the image into the dominant cone and keeps beta's class mod pQ^vee
     push = [int(2 / d) * p for d in oracles.symmetrizer(cartan)]
-    image = affine.affine_apply(rs, AffineWeylElement(Weight(beta), word), base, level)
+    image = _dot_formula(rs, AffineWeylElement(Weight(beta), word), base)
     k = max(0, *(-(x // step) for x, step in zip(image, push)))
     beta = [b + k * step for b, step in zip(beta, push)]
     g = AffineWeylElement(_lattice_shape(beta, data.draw(st.sampled_from(
@@ -346,10 +346,10 @@ def test_make_character_refuses_exactly_the_keys_outside_the_walks_lattice(data)
         if label:
             assert len(annihilator.make_labels(rs, base, [g], level).generators) == 1
     else:
-        with pytest.raises(DomainError, match="is not the canonical element for its image"):
+        message = f"^translation {re.escape(str(Weight(beta)))} is not in {p}Q\\^vee "
+        with pytest.raises(DomainError, match=message):
             translate.make_character(rs, base, {g: 3}, level)
-        with pytest.raises(DomainError, match="^generator .* is not the canonical element "
-                                              "for its image"):
+        with pytest.raises(DomainError, match=message):
             annihilator.make_labels(rs, base, [g], level)
 
 
@@ -361,8 +361,8 @@ def test_make_character_lattice_test_reads_tuple_and_fraction_translations(shape
     outside = AffineWeylElement(_lattice_shape([5, 0], shape), IDENTITY)
     inside = AffineWeylElement(_lattice_shape([10, 0], shape), IDENTITY)
     assert translate.make_character(B2, [0, 0], {inside: 1}, P5).coeffs == {inside: 1}
-    with pytest.raises(DomainError, match=r"^key .* is not the canonical element "
-                                          r"for its image \[5,0\]$"):
+    with pytest.raises(DomainError, match=r"^translation \[5,0\] is not in 5Q\^vee "
+                                          r"\(root coords \(5, 5\)\)$"):
         translate.make_character(B2, [0, 0], {outside: 1}, P5)
 
 
@@ -382,10 +382,8 @@ def test_translate_verma_answers_a_far_label_at_once():
     assert time.perf_counter() - start < 0.1
 
 
-# t_beta with beta in pQ but not in pQ^vee: the public lattice check accepts it, so
-# g . lam is not linked to lam and the survivor search keeps nothing
-@pytest.mark.xfail(strict=True, raises=InternalInconsistencyError,
-                   reason="ROADMAP item 2: the lattice check accepts pQ, not pQ^vee")
+# t_beta with beta in pQ but not in pQ^vee: g . lam would not be linked to lam, so
+# the group-element check refuses g before any survivor search
 @pytest.mark.parametrize("name, beta, p", [("G2", [12, -6], 6), ("B2", [-7, 14], 7)],
                          ids=["G2", "B2"])
 def test_verma_translation_outside_the_walks_lattice_is_a_domain_error(name, beta, p):
@@ -530,7 +528,7 @@ def _call(fn, g, wt, where):
 
 PRECEDENCE = [
     ("affine_apply", "non-element-g-singular-lam", "g is a str, not an AffineWeylElement"),
-    ("affine_apply", "off-lattice-g-wrong-rank-lam", "translation [1,0] is not in 6Q (root coords (1, 1))"),
+    ("affine_apply", "off-lattice-g-wrong-rank-lam", "translation [1,0] is not in 6Q^vee (root coords (1, 1))"),
     ("affine_apply", "bad-letter-non-dominant-image", "Weyl word (7, 0) has letter 7 outside 0..1 for B2"),
     ("affine_apply", "wrong-rank-translation-non-integral-mu", "translation of g [0] has wrong rank for B2"),
     ("translate_weyl", "non-element-g-singular-lam", "lam [1,1] is singular at level 6/1"),
@@ -601,7 +599,7 @@ LATTICE_FIRST = {
 @pytest.mark.parametrize("call", [
     pytest.param(call, id=fn) for fn, call in LATTICE_FIRST.items()])
 def test_off_lattice_element_is_named_before_its_letters(call):
-    message = "translation [1,0] is not in 6Q (root coords (1, 1))"
+    message = "translation [1,0] is not in 6Q^vee (root coords (1, 1))"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(OFF_LATTICE_BAD_LETTER)
 
@@ -615,9 +613,10 @@ def test_precedence_table_covers_every_case_of_every_function():
 
 def _record_calls(monkeypatch, name, calls):
     """Append ``(name, args)`` to ``calls`` on every call of the function ``name``,
-    public or (when it starts with ``_``) private to ``rootsys``, whichever afftrans
-    module makes it."""
-    original = getattr(rootsys if name.startswith("_") else afftrans, name)
+    public or (when it starts with ``_``) private to ``rootsys`` or ``affine``, whichever
+    afftrans module makes it."""
+    home = afftrans if not name.startswith("_") else rootsys if hasattr(rootsys, name) else affine
+    original = getattr(home, name)
 
     def recorded(*args, **kwargs):
         calls.append((name, args))
@@ -631,12 +630,12 @@ def _record_calls(monkeypatch, name, calls):
 def test_translate_weyl_checks_each_argument_once(monkeypatch):
     g = affine.theta_wall_reflection(A2, P5)  # translation [5,5]; sends 0 to [3,3]
     calls = []
-    for name in ("_root_numerator", "in_fundamental_alcove", "is_regular", "affine_apply"):
+    for name in ("_as_group_element", "in_fundamental_alcove", "is_regular", "affine_apply"):
         _record_calls(monkeypatch, name, calls)
     assert translate.translate_weyl(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
-    assert [args for name, args in calls if name != "_root_numerator"] == []
-    solves = [args[1] for _, args in calls]
-    assert [wt for wt in solves if wt == g.translation] == [g.translation]
+    assert [args for name, args in calls if name != "_as_group_element"] == []
+    # the lattice test runs where the group-element check is given a level
+    assert [args for _, args in calls if len(args) > 2 and args[2] is not None] == [(A2, g, P5)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +645,20 @@ DOT_TYPES = ["A1", "A2", "A3", "B2", "C3", "G2"]
 
 
 @st.composite
-def _affine_elements(draw, rs, level, roots):
-    """An element with translation p * (a sum of ``roots``), canonical or with
-    a non-canonical word (a random word, or ``s_i s_i`` spliced into one)."""
-    coeffs = draw(st.lists(st.integers(-1, 1), min_size=len(roots), max_size=len(roots)))
-    beta = sum((level.p * c * alpha for c, alpha in zip(coeffs, roots)), Weight.zero(rs.rank))
+def _affine_elements(draw, rs, level, vectors):
+    """An element with translation p * (a sum of ``vectors``, roots or coroots), canonical or
+    with a non-canonical word (a random word, or ``s_i s_i`` spliced into one)."""
+    coeffs = draw(st.lists(st.integers(-1, 1), min_size=len(vectors), max_size=len(vectors)))
+    beta = sum((level.p * c * v for c, v in zip(coeffs, vectors)), Weight.zero(rs.rank))
     word = tuple(draw(st.lists(st.integers(0, rs.rank - 1), max_size=6)))
     if draw(st.booleans()):
         word = weyl.canonical_from_word(rs, word).word
     return AffineWeylElement(beta, WeylElement(word))
+
+
+def _simple_coroots(rs):
+    """The simple coroots, which span the translations ``pQ^vee`` of the walk's group."""
+    return [Weight(c) for c in oracles.simple_coroots(rs.cartan)]
 
 
 def _respell(draw, rs, g):
@@ -673,7 +677,7 @@ def _dot_formula(rs, g, lam):
 def test_affine_apply_is_the_dot_formula(data):
     rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
     level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 6)), 1)
-    g = data.draw(_affine_elements(rs, level, rs.simple_roots))
+    g = data.draw(_affine_elements(rs, level, _simple_coroots(rs)))
     lam = Weight(data.draw(st.lists(st.integers(-4, 6), min_size=rs.rank, max_size=rs.rank)))
     assert affine.affine_apply(rs, g, lam, level) == _dot_formula(rs, g, lam)
     assert affine.affine_apply(rs, _respell(data.draw, rs, g), lam, level) == \
@@ -831,7 +835,7 @@ def _int_weights(weights):
 def test_every_weight_the_translation_core_returns_has_int_coordinates(data):
     rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
     level = Level(data.draw(st.integers(rs.dual_coxeter + 2, rs.dual_coxeter + 5)), 1)
-    g = data.draw(_affine_elements(rs, level, rs.simple_roots))
+    g = data.draw(_affine_elements(rs, level, _simple_coroots(rs)))
     lam = Weight(data.draw(st.lists(st.integers(-4, 6), min_size=rs.rank, max_size=rs.rank)))
     rep, h, _ = affine.alcove_rep(rs, lam, level)
     returned = [affine.affine_apply(rs, g, lam, level), rep, h.translation,
