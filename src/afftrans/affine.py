@@ -93,17 +93,21 @@ _set_finite = AffineWeylElement.finite.__set__
 def _as_group_element(rs: RootSystem, g, level: Level | None = None,
                       what: str = "g") -> AffineWeylElement:
     """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite part and a
-    translation of the right rank, in ``pQ^vee`` when ``level`` is given: the one group-element
-    check of the public API.  Word letters are checked where the word is applied or respelled."""
+    translation of the right rank, in ``pQ^vee`` when ``level`` is given (memoized per root system,
+    translation and ``p``): the one public group-element check.  Letters are checked where used."""
     g = _as_instance(g, AffineWeylElement, what)
     _as_instance(g.finite, WeylElement, f"finite part of {what}")
     beta = _as_weight(rs, g.translation, f"translation of {what}")
-    if level is not None:
-        p = _as_level(level).p  # beta is in pQ^vee iff (omega_j, beta) is in pZ for every j
-        if any(sum(map(mul, row, beta)) % (p * rs.form_den) for row in rs.form_int):
-            raise DomainError(f"translation {beta} is not in {p}Q^vee "
-                              f"(root coords {root_coords(rs, beta)})")
+    if level is not None and not _in_coroot_lattice(rs, beta, _as_level(level).p):
+        raise DomainError(f"translation {beta} is not in {level.p}Q^vee "
+                          f"(root coords {root_coords(rs, beta)})")
     return g
+
+
+@functools.lru_cache(maxsize=4096)
+def _in_coroot_lattice(rs: RootSystem, beta: Weight, p: int) -> bool:
+    """``beta`` in ``pQ^vee``: ``(omega_j, beta)`` is in ``pZ`` for every ``j``."""
+    return not any(sum(map(mul, row, beta)) % (p * rs.form_den) for row in rs.form_int)
 
 
 def _residue(rs: RootSystem, wt: Weight, p: int) -> tuple:
@@ -200,8 +204,7 @@ def _off_walls(rs: RootSystem, shifted, p: int) -> bool:
     return all(sum(map(mul, row, shifted)) % p for row in rs.coroot_rows)
 
 
-def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *,
-                          strict: bool = True) -> bool:
+def in_fundamental_alcove(rs: RootSystem, lam, level: Level, *, strict: bool = True) -> bool:
     """Membership of the open (``strict``) or closed fundamental alcove:
     ``lam + rho`` dominant (regular when strict) and
     ``0 < (lam + rho, theta) < p`` (``<=`` when not strict)."""
@@ -219,15 +222,22 @@ def _as_alcove_weight(rs: RootSystem, wt, level: Level, what: str = "weight", *,
     """``wt`` as an integral ``Weight`` strictly inside the fundamental alcove
     and, when ``regular`` is set, off every wall at ``level``: the one alcove
     check of the public API, whose result private cores (:func:`_dot`) trust.
-    """
+    Both tests are one lookup memoized per (root system, weight, ``p``)."""
     w = _as_weight(rs, wt, what, integral=True)
-    shifted, p = [c + 1 for c in w], _as_level(level).p
-    if not _inside(rs, shifted, p):
+    inside, off_walls = _alcove_flags(rs, w, _as_level(level).p)
+    if not inside:
         raise DomainError(f"{what} {w} is not strictly inside the fundamental "
                           f"alcove at level {level}")
-    if regular and not _off_walls(rs, shifted, p):
+    if regular and not off_walls:
         raise DomainError(f"{what} {w} is singular at level {level}")
     return w
+
+
+@functools.lru_cache(maxsize=4096)
+def _alcove_flags(rs: RootSystem, w: Weight, p: int) -> tuple[bool, bool]:
+    """(strictly inside the fundamental alcove, off every wall) for an integral ``w`` at ``p``."""
+    shifted = [c + 1 for c in w]
+    return _inside(rs, shifted, p), _off_walls(rs, shifted, p)
 
 
 def _alcove_walk(rs: RootSystem, x: list, p: int, letters: list | None = None) -> list:

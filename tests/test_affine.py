@@ -692,6 +692,38 @@ def test_open_alcove_membership_does_not_imply_regular():
     assert (rep, g.is_identity, regular) == (lam, True, False)
 
 
+def _alcove_check(rs, lam, regular):
+    return lambda level: affine._as_alcove_weight(rs, lam, level, "lam", regular=regular)
+
+
+# (check at a level, accepting level, refusing level, refusal): one key
+# (root system, weight, p) of the memoized alcove and lattice tests each
+WARM_CACHE_PAIRS = [
+    (_alcove_check(root_system("B2"), [0, 2], True), Level(7, 1), Level(5, 1),
+     "lam [0,2] is singular at level 5/1"),
+    (_alcove_check(A2, [1, 1], False), Level(5, 1), Level(4, 1),
+     "lam [1,1] is not strictly inside the fundamental alcove at level 4/1"),
+    (lambda level: affine.affine_apply(A1, translation_element(A1, [10]), [0], level),
+     Level(5, 1), Level(7, 1), "translation [10] is not in 7Q^vee (root coords (5,))"),
+]
+
+
+@pytest.mark.parametrize("accepted_first", [True, False], ids=["accept-first", "refuse-first"])
+@pytest.mark.parametrize("check,accepts,refuses,message", WARM_CACHE_PAIRS,
+                         ids=["B2-singular", "A2-outside", "A1-off-lattice"])
+def test_memoized_checks_answer_each_level_in_either_order(check, accepts, refuses, message,
+                                                           accepted_first):
+    affine._alcove_flags.cache_clear()
+    affine._in_coroot_lattice.cache_clear()
+    for level in (accepts, refuses) if accepted_first else (refuses, accepts):
+        for _ in range(2):  # cold, then warm
+            if level is accepts:
+                check(level)
+            else:
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    check(level)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and linkage
 

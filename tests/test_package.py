@@ -66,7 +66,9 @@ def test_records_pickle_through_the_package():
 
 # Every lru_cache in the package, by layer and name, with its maxsize.
 CACHES = {
+    "affine._alcove_flags": 4096,
     "affine._alcove_rep_coords": 200_000,
+    "affine._in_coroot_lattice": 4096,
     "affine._theta_reflection": None,
     "finchar._character": 4096,
     "finchar._dim": 4096,
