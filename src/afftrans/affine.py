@@ -174,8 +174,16 @@ def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> Affin
     g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
     image = _dot(rs, g, base)
     if not image.is_dominant:
-        raise DomainError(f"{what} {g} sends {base} to {image}, outside the dominant cone")
+        raise DomainError(
+            f"{what} {_spelled(rs, g)} sends {base} to {image}, outside the dominant cone")
     return g
+
+
+def _spelled(rs: RootSystem, g: AffineWeylElement) -> str:
+    """``g`` as the CLI reads it: ``t[<root coords>]*<word>``, trivial parts left out, or ``e``."""
+    beta = g.translation
+    parts = [f"t[{','.join(map(str, root_coords(rs, beta)))}]"] if any(beta) else []
+    return "*".join(parts + ([str(g.finite)] if g.finite.word else [])) or "e"
 
 
 def theta_wall_reflection(rs: RootSystem, level: Level) -> AffineWeylElement:

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .errors import AfftransError, DatumInvalidError, DomainError
-from .rootsys import RootSystem, Weight, root_coords, root_system
+from .rootsys import RootSystem, Weight, root_system
 
 
 class UsageError(Exception):
@@ -183,18 +183,6 @@ def _parse_char_terms(rs: RootSystem, level, text: str) -> dict:
 # ---------------------------------------------------------------------------
 # output formatting
 
-def _element_text(rs: RootSystem, g) -> str:
-    if g.is_identity:
-        return "e"
-    parts = []
-    if any(g.translation):
-        rc = root_coords(rs, g.translation)
-        parts.append("t[" + ",".join(str(c) for c in rc) + "]")
-    if g.finite.word:
-        parts.append(str(g.finite))
-    return "*".join(parts)
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -246,7 +234,7 @@ def _cmd_orbit(args, rs: RootSystem, level) -> int:
         if args.bound is None:
             raise UsageError("orbit enumeration at a level requires --bound")
         pairs = affine.dominant_orbit(rs, args.weight, level, args.bound)
-        rows = [[("weight", nu), ("g", _element_text(rs, g))]
+        rows = [[("weight", nu), ("g", affine._spelled(rs, g))]
                 for g, nu in pairs]
     return _emit(rows, args.format)
 
@@ -254,7 +242,7 @@ def _cmd_orbit(args, rs: RootSystem, level) -> int:
 def _cmd_alcove(args, rs: RootSystem, level) -> int:
     from . import affine
     rep, g, regular = affine.alcove_rep(rs, args.weight, level)
-    row = [("rep", rep), ("g", _element_text(rs, g)), ("regular", regular)]
+    row = [("rep", rep), ("g", affine._spelled(rs, g)), ("regular", regular)]
     return _emit([row], args.format)
 
 
@@ -306,7 +294,7 @@ def _cmd_translate_char(args, rs: RootSystem, level) -> int:
     chi = translate.make_character(rs, args.src, coeffs, level)
     out = translate.translate_character(rs, chi, args.dst)
     saff = affine.theta_wall_reflection(rs, level)
-    body = ",".join(f"{'saff' if g == saff else _element_text(rs, g)}:{c}"
+    body = ",".join(f"{'saff' if g == saff else affine._spelled(rs, g)}:{c}"
                     for g, c in out.coeffs.items())
     if args.format == "records":
         print(f"{body} @ base={out.base}")
@@ -334,18 +322,18 @@ def _cmd_generator(args, rs: RootSystem, level) -> int:
     from . import affine, annihilator
     g = annihilator.singular_generator_label(rs, level)
     image = affine.affine_apply(rs, g, Weight.zero(rs.rank), level)
-    row = [("g", _element_text(rs, g)), ("weight", image)]
+    row = [("g", affine._spelled(rs, g)), ("weight", image)]
     return _emit([row], args.format)
 
 
 def _cmd_transport(args, rs: RootSystem, level) -> int:
-    from . import annihilator, translate
+    from . import affine, annihilator, translate
     cap = _resolve_cap(args)
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
     _, images = annihilator._transport(rs, labels, args.to, cap)
-    rows = [[("g", _element_text(rs, g)), ("image", images[g])]
+    rows = [[("g", affine._spelled(rs, g)), ("image", images[g])]
             for g in translate._in_order(rs, images)]
     return _emit(rows, args.format)
 

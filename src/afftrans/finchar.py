@@ -1,17 +1,21 @@
 """Characters of finite-dimensional highest-weight modules.
 
 Weight multiplicities via Freudenthal's recursion, exact Weyl dimensions,
-and tensor-product decomposition by the signed-reflection (Racah) rule.
+and tensor-product decomposition by the signed-reflection (Racah) rule, which
+folds nothing when ``lam_i + min_i >= 0`` for every ``i`` (``min_i`` the least
+coordinate ``i`` over the weights nu of the smaller factor V_mu): every
+``lam + nu`` is then dominant and the answer is ``{lam + nu: m_mu(nu)}``.
 ``tensor_oracle`` recomputes the decomposition along an independent path —
-multiply the two characters as lattice polynomials, then read the Weyl
-character formula off the product — and is used to cross-check the fast path.
+multiply the two characters, each packed once into a cached integer, then read
+the Weyl character formula off the product — to cross-check the fast path.
 
 All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
 and the standard library only.  Each dominant orbit is walked once per process
 (:func:`_orbit`), and each character is built once from those walks, then
-cached by :func:`_character` as sorted (weight, mult) pairs and as drop columns
-beside the multiplicities.  The walks' weights become ``Weight``s unchecked
-(``rootsys._trusted``): they are integers that this module computed itself.
+cached by :func:`_character` as sorted (weight, mult) pairs, as drop columns
+beside the multiplicities, and as the ``min_i``.  The walks' weights become
+``Weight``s unchecked (``rootsys._trusted``): they are integers that this
+module computed itself.
 """
 
 from __future__ import annotations
@@ -146,14 +150,14 @@ def _orbit(rs: RootSystem, nu: Weight) -> tuple:
 @lru_cache(maxsize=4096)
 def _character(rs: RootSystem, lam: Weight) -> tuple:
     """The character of V_lam from one walk below lam and the orbit of each
-    dominant weight, in two layouts: (weight, mult) pairs sorted by weight, and
-    the columns of drop = rc(lam - weight), one per coordinate, then the mults."""
+    dominant weight: (weight, mult) pairs sorted by weight, the columns of drop =
+    rc(lam - weight), one per coordinate, then the mults, and each coordinate's least."""
     pairs, cells = [], []
     for drop, nu, m in _freudenthal(rs, lam):
         for x, d in _orbit(rs, nu):
             pairs.append((x, m))
             cells.append((*map(add, drop, d), m))
-    return tuple(sorted(pairs)), tuple(zip(*cells))
+    return tuple(sorted(pairs)), tuple(zip(*cells)), tuple(map(min, zip(*(x for x, _ in pairs))))
 
 
 def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dict:
@@ -187,21 +191,26 @@ def _fold(rs: RootSystem, top: Weight, lower: Weight):
 
 def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     """Decomposition multiplicities {nu: (V_lam ply V_mu : V_nu)}: the signed
-    reflections of :func:`_fold` over the weights of the smaller factor, summed."""
+    reflections of :func:`_fold` over the weights of the smaller factor, summed,
+    or, when nothing reflects, that factor's sorted pairs shifted by lam."""
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     if _dim(rs, mu) > _dim(rs, lam):
         lam, mu = mu, lam  # the rule sums over the smaller character
-    shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
-    for x, m in _fold(rs, lam, mu):
-        shifted[x] = shifted.get(x, 0) + m
-    out = {_trusted(c - 1 for c in x): v for x, v in shifted.items() if v}
-    if any(v < 0 for v in out.values()):
-        raise InternalInconsistencyError(
-            f"negative tensor multiplicity for {lam} x {mu}")
+    pairs, _, lows = _character(rs, mu)
+    if min(map(add, lam, lows)) >= 0:
+        out = {_trusted(map(add, lam, nu)): m for nu, m in pairs}
+    else:
+        shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
+        for x, m in _fold(rs, lam, mu):
+            shifted[x] = shifted.get(x, 0) + m
+        out = dict(sorted((_trusted(c - 1 for c in x), v) for x, v in shifted.items() if v))
+        if any(v < 0 for v in out.values()):
+            raise InternalInconsistencyError(
+                f"negative tensor multiplicity for {lam} x {mu}")
     _check_mass(rs, lam, mu, sum(v * _dim(rs, nu) for nu, v in out.items()))
-    return dict(sorted(out.items()))
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -237,6 +246,21 @@ def _run_sums(out: list, run: tuple, ends: tuple) -> list:
     return list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
 
 
+@lru_cache(maxsize=4096)
+def _packed(rs: RootSystem, lam: Weight, strides: tuple, limb: str) -> int:
+    """V_lam's character as one integer (Kronecker substitution): each mult a ``limb`` cell
+    at flat index drop . ``strides``, read in ``sys.byteorder``; the buffer stops at the
+    largest drop, so on a little-endian machine it is the integer of any box that holds it."""
+    *columns, mults = _character(rs, lam)[1]
+    limbs = memoryview(bytearray((sum(map(mul, map(max, columns), strides)) + 1)
+                                 * calcsize(limb))).cast(limb)
+    flat = repeat(0)  # drop . strides, summed one column of drops at a time
+    for column, stride in zip(columns, strides):
+        flat = map(add, flat, map(mul, column, repeat(stride)))
+    any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None
+    return int.from_bytes(limbs, sys.byteorder)
+
+
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     """Independent tensor decomposition by the Weyl character formula.
 
@@ -246,9 +270,9 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho -
     w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
     Besides the dimension product, ``cap`` bounds the cells of the product
-    box, which is refused before it is allocated.  The scatter, the
-    invariance check and the read-off are C-level passes over the cached
-    flat layout of :func:`_product_plan`.
+    box, which is refused before it is allocated.  Each factor's integer
+    comes from :func:`_packed`; the invariance check and the read-off are
+    C-level passes over the cached flat layout of :func:`_product_plan`.
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
@@ -257,20 +281,12 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
         _product_plan(rs, lam + mu)
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
-    grids = [_character(rs, wt)[1] for wt in (lam, mu)]  # (*drop columns, mults)
-    largest = prod(sum(grid[-1]) for grid in grids)  # the masses' product bounds every cell
+    largest = prod(sum(_character(rs, wt)[1][-1]) for wt in (lam, mu))  # bounds every cell
     limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
     size = cells_in_box * calcsize(limb)
-    product = 1
-    for *columns, mults in grids:
-        flat = repeat(0)  # drop . strides, summed one column of drops at a time
-        for column, stride in zip(columns, strides):
-            flat = map(add, flat, map(mul, column, repeat(stride)))
-        limbs = memoryview(bytearray(size)).cast(limb)
-        any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None
-        product *= int.from_bytes(limbs, sys.byteorder)
+    product = _packed(rs, lam, strides, limb) * _packed(rs, mu, strides, limb)
     out = memoryview(product.to_bytes(size, sys.byteorder)).cast(limb).tolist()
     # Weyl-invariant iff every orbit below the top is constant and together
     # they hold every nonzero cell of the box.

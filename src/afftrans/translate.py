@@ -205,7 +205,7 @@ def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharact
             continue
         g = affine._as_label(rs, g, base, level, "key")
         if g in cleaned:  # a second spelling passes the label check as the first did
-            raise DomainError(f"two keys spell the element {g}")
+            raise DomainError(f"two keys spell the element {affine._spelled(rs, g)}")
         cleaned[g] = c
     return LinkageCharacter(level, base, {g: cleaned[g] for g in _in_order(rs, cleaned)})
 
@@ -214,19 +214,23 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
                         lam) -> LinkageCharacter:
     """Re-key a Weyl-basis character to the linkage class of ``lam``.
 
-    Coefficients ride along unchanged; a key is dropped only if its image at
-    the new base leaves the dominant cone (for regular bases none do).
+    Coefficients ride along unchanged; a key whose image at the new base
+    leaves the dominant cone is refused (for regular bases none that
+    :func:`make_character` accepts does).
     """
     _as_instance(chi, LinkageCharacter, "chi")
     _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
     lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
-    kept = [g for g in chi.coeffs
-            if affine._dot(rs, affine._as_group_element(rs, g, chi.level), lam).is_dominant]
-    return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, kept)})
+    for g in chi.coeffs:
+        image = affine._dot(rs, affine._as_group_element(rs, g, chi.level), lam)
+        if not image.is_dominant:
+            raise DomainError(f"key {affine._spelled(rs, g)} sends {lam} to {image}, "
+                              "outside the dominant cone")
+    return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, chi.coeffs)})
 
 
 def round_trip_check(rs: RootSystem, chi: LinkageCharacter, lam) -> bool:
-    """Translate to ``lam`` and back; must reproduce ``chi`` exactly."""
+    """Translate to ``lam`` and back; must reproduce ``chi`` exactly, or raise."""
     there = translate_character(rs, chi, lam)
     back = translate_character(rs, there, chi.base)
     return back == chi

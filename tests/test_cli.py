@@ -289,6 +289,13 @@ def test_transport_refuses_a_generator_outside_the_walks_lattice(capsys):
                                     "--to", "[0,1]", "--generators", "t[7,7]")
 
 
+def test_transport_names_a_generator_off_the_dominant_cone_as_it_reads_it(capsys):
+    code, out, err = run(capsys, "transport", "A1", "--level", "5/1", "--to", "[2]",
+                         "--generators", "s1")
+    assert (code, out) == (1, "")
+    assert err == "error: generator s1 sends [0] to [-2], outside the dominant cone\n"
+
+
 def test_translate_weyl_refuses_an_element_outside_the_walks_lattice(capsys):
     _refuses_t77_by_its_root_coords(capsys, "translate-weyl", "B2", "--level", "7/1",
                                     "--element", "t[7,7]", "--from", "[0,0]", "--to", "[0,1]")

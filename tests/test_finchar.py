@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -231,40 +234,67 @@ def _character(name, lam):
     return oracles.character_oracle(oracles.cartan_matrix(name[0], int(name[1:])), lam)
 
 
-def _branches(name, lam, mu):
-    """The branches tensor_decompose takes on a pair, from the oracles alone:
-    the sign of the least coordinate of lam + x + rho over the weights x of
-    the smaller factor (mu on a tie) -- 1 dominant and regular, 0 on a wall
-    with no negative coordinate, -1 walked to the chamber."""
+def _lows(name, lam, mu):
+    """The least coordinate of lam + x + rho for each weight x of the smaller
+    factor (mu on a tie), from the oracles alone.  tensor_decompose folds
+    nothing iff every one is at least 1; a 0 is a point on a wall, a negative
+    one is walked to the chamber."""
     if sum(_character(name, mu).values()) > sum(_character(name, lam).values()):
         lam, mu = mu, lam
-    lows = (min(a + b + 1 for a, b in zip(lam, x)) for x in _character(name, mu))
-    return {(low > 0) - (low < 0) for low in lows}
+    return [min(a + b + 1 for a, b in zip(lam, x)) for x in _character(name, mu)]
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs_on_every_branch(name):
-    """Pairs of small dominant weights (dimension product at most 2,000) that
-    take every branch that ``name`` allows.  On A1 that is the first alone:
-    the smaller factor's lowest weight -mu is at least -lam.  From rank 2 on
-    it is all three."""
+def _pairs_by_side(name):
+    """Pairs of small dominant weights (dimension product at most 2,000) on
+    each side of tensor_decompose's fork.  "fold": the signs of the lows are
+    all of -1, 0 and 1.  "no fold": every low is positive.  The edges "least 1"
+    (no fold) and "least 0" (fold, with a point on a wall and none walked)
+    hold the pairs whose least low is exactly that.  A1 has the no-fold side
+    alone: the smaller factor's lowest weight -mu is at least -lam."""
     top = {1: 4, 2: 2, 3: 1}[int(name[1:])]
     weights = list(itertools.product(range(top + 1), repeat=int(name[1:])))
     dims = {lam: sum(_character(name, lam).values()) for lam in weights}
-    want = {1} if name == "A1" else {-1, 0, 1}
-    return [(lam, mu) for lam, mu in itertools.product(weights, repeat=2)
-            if dims[lam] * dims[mu] <= 2000 and _branches(name, lam, mu) == want]
+    sides = {"fold": [], "no fold": [], "least 1": [], "least 0": []}
+    for lam, mu in itertools.product(weights, repeat=2):
+        if dims[lam] * dims[mu] <= 2000:
+            lows = _lows(name, lam, mu)
+            signs = {(low > 0) - (low < 0) for low in lows}
+            if signs in ({-1, 0, 1}, {1}):
+                sides["fold" if -1 in signs else "no fold"].append((lam, mu))
+            if min(lows) in (0, 1):
+                sides[f"least {min(lows)}"].append((lam, mu))
+    return {side: pairs for side, pairs in sides.items() if pairs}
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(st.sampled_from(REFERENCE_TYPES).flatmap(
-    lambda name: st.tuples(st.just(name), st.sampled_from(_pairs_on_every_branch(name)))))
-def test_decompose_and_oracle_match_the_brauer_reference(case):
-    name, (lam, mu) = case
+def _assert_brauer(name, lam, mu):
     rs = root_system(name)
     want = oracles.tensor_reference(rs.cartan, lam, mu)
     assert _as_plain(finchar.tensor_decompose(rs, lam, mu)) == want
     assert _as_plain(finchar.tensor_oracle(rs, lam, mu)) == want
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from([(name, side) for name in REFERENCE_TYPES for side in _pairs_by_side(name)])
+       .flatmap(lambda drawn: st.tuples(st.just(drawn[0]),
+                                        st.sampled_from(_pairs_by_side(drawn[0])[drawn[1]]))))
+def test_decompose_and_oracle_match_the_brauer_reference(case):
+    name, (lam, mu) = case
+    _assert_brauer(name, lam, mu)
+
+
+@pytest.mark.parametrize("name,side", [
+    (name, side) for name in REFERENCE_TYPES for side in ("least 1", "least 0")
+    if side in _pairs_by_side(name)])
+def test_every_pair_at_the_edge_of_the_fork_matches_the_brauer_reference(monkeypatch, name, side):
+    # least 1 folds nothing and least 0 folds a wall point: each edge is
+    # checked on every pair, not only on the pairs drawn above, and each
+    # pair takes its own side of the fork
+    pairs, folds, real = _pairs_by_side(name)[side], [], finchar._fold
+    monkeypatch.setattr(finchar, "_fold", lambda *args: folds.append(args) or real(*args))
+    for lam, mu in pairs:
+        _assert_brauer(name, lam, mu)
+    assert len(folds) == (0 if side == "least 1" else len(pairs))
 
 
 @pytest.mark.parametrize("rs,lam,mu,drop,mult,match", [
@@ -278,17 +308,19 @@ def test_decompose_and_oracle_match_the_brauer_reference(case):
     (A1, [0], [2], (1,), 0, "multiplicity -1"),
 ])
 def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, drop, mult, match):
-    # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``
+    # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``;
+    # the packed characters are built afresh from it, and none is cached
     real = finchar._character
 
     def character_with_one_cell_changed(rs_, wt):
-        pairs, (*columns, mults) = real(rs_, wt)
+        pairs, (*columns, mults), lows = real(rs_, wt)
         cells = dict(zip(zip(*columns), mults))
         if wt == Weight(mu):
             cells[drop] = mult
-        return pairs, tuple(zip(*((*d, m) for d, m in cells.items() if m)))
+        return pairs, tuple(zip(*((*d, m) for d, m in cells.items() if m))), lows
 
     monkeypatch.setattr(finchar, "_character", character_with_one_cell_changed)
+    monkeypatch.setattr(finchar, "_packed", finchar._packed.__wrapped__)
     with pytest.raises(InternalInconsistencyError, match=match):
         finchar.tensor_oracle(rs, Weight(lam), Weight(mu))
 
@@ -296,14 +328,36 @@ def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, d
 @pytest.mark.parametrize("mult,fits", [(2 ** 32 - 1, True), (2 ** 32, False)])
 def test_oracle_cell_width_follows_the_masses(monkeypatch, mult, fits):
     # a trivial grid of mass ``mult`` squared: one product cell, kept exact up
-    # to a 64-bit limb and refused beyond it
-    monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), ((0,), (mult,))))
+    # to a 64-bit limb and refused beyond it (packed afresh, never cached)
+    monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), ((0,), (mult,)), (0,)))
+    monkeypatch.setattr(finchar, "_packed", finchar._packed.__wrapped__)
     zero = Weight([0])
     if fits:
         assert finchar.tensor_oracle(A1, zero, zero) == {zero: mult * mult}
     else:
         with pytest.raises(DimensionCapError, match="64-bit"):
             finchar.tensor_oracle(A1, zero, zero)
+
+
+def test_one_character_is_packed_per_strides_and_limb():
+    # V_[1,0] of A2 in four products: two boxes whose masses fit byte limbs and
+    # two that need 16-bit limbs.  Each (strides, limb) packs it once, as the
+    # integer of the full box, and the oracle reads every product right.
+    lam = Weight([1, 0])
+    finchar._packed.cache_clear()
+    for mu, limb in [([1, 0], "B"), ([2, 2], "B"), ([4, 4], "H"), ([4, 3], "H")]:
+        mu = Weight(mu)
+        strides, cells = finchar._product_plan(A2, lam + mu)[:2]
+        assert _as_plain(finchar.tensor_oracle(A2, lam, mu)) == \
+            oracles.tensor_reference(A2.cartan, lam, mu)
+        box = array.array(limb, bytes(cells * array.array(limb).itemsize))
+        for x, m in finchar.weight_multiplicities(A2, lam).items():
+            box[sum(map(mul, map(int, root_coords(A2, lam - x)), strides))] = m
+        hits, full_box = finchar._packed.cache_info().hits, box.tobytes()
+        assert finchar._packed(A2, lam, strides, limb) == int.from_bytes(full_box, sys.byteorder)
+        assert finchar._packed.cache_info().hits == hits + 1
+    # [1,0] packed under four (strides, limb) keys, each other factor once
+    assert finchar._packed.cache_info().currsize == 7
 
 
 def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):

@@ -73,6 +73,7 @@ CACHES = {
     "finchar._character": 4096,
     "finchar._dim": 4096,
     "finchar._orbit": 4096,
+    "finchar._packed": 4096,
     "finchar._product_plan": 4096,
     "finchar._root_data": None,
     "rootsys._build_root_system": None,

@@ -258,7 +258,8 @@ def test_make_character_stores_the_canonical_spelling():
 def test_make_character_refuses_two_spellings_of_one_key():
     # one coefficient must not silently overwrite the other
     canonical, other = W0_SPELLINGS
-    with pytest.raises(DomainError, match="two keys spell"):
+    # the element is named as the CLI reads it, by the root coordinates of its translation
+    with pytest.raises(DomainError, match=r"^two keys spell the element t\[5,5\]\*s1s2s1$"):
         translate.make_character(A2, Weight([0, 0]), {canonical: 1, other: 2}, P5)
     chi = translate.make_character(A2, Weight([0, 0]), {canonical: 0, other: 2}, P5)
     assert chi.coeffs == {canonical: 2}
@@ -291,7 +292,8 @@ def test_make_character_drops_zeros():
 
 def test_make_character_rejects_nondominant_image():
     finite_s = affine.finite_element(A1, WeylElement((0,)))
-    with pytest.raises(DomainError, match="outside the dominant cone"):
+    with pytest.raises(DomainError,
+                       match=r"^key s1 sends \[0\] to \[-2\], outside the dominant cone$"):
         translate.make_character(A1, Weight([0]), {finite_s: 1}, P5)
 
 
@@ -424,6 +426,19 @@ def test_translate_character_rejects_singular_target():
     chi = translate.make_character(A1, Weight([0]), {E1: 1}, P5)
     with pytest.raises(DomainError):
         translate.translate_character(A1, chi, Weight([4]))
+
+
+@pytest.mark.parametrize("lam", [[1], [2], [0]])
+def test_a_hand_built_key_off_the_dominant_cone_is_refused_not_dropped(lam):
+    # make_character refuses s1 over [1] on A1 at 5/1; a hand-built character
+    # may hold it, and translating it names the key instead of dropping it
+    chi = LinkageCharacter(P5, [1], {affine.finite_element(A1, WeylElement((0,))): 1})
+    image = -lam[0] - 2
+    message = rf"^key s1 sends \[{lam[0]}\] to \[{image}\], outside the dominant cone$"
+    with pytest.raises(DomainError, match=message):
+        translate.translate_character(A1, chi, Weight(lam))
+    with pytest.raises(DomainError, match=message):
+        translate.round_trip_check(A1, chi, lam)
 
 
 def test_round_trip_examples():
@@ -776,10 +791,10 @@ def test_translations_check_the_mass_of_every_term(monkeypatch, translation):
     real = finchar._character
 
     def one_multiplicity_off(rs_, wt):
-        pairs, cells = real(rs_, wt)
+        pairs, cells, lows = real(rs_, wt)
         if wt == Weight([1, 0]):
             pairs = tuple((x, m + (x == wt)) for x, m in pairs)
-        return pairs, cells
+        return pairs, cells, lows
 
     g = affine.theta_wall_reflection(A2, P5)
     assert translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
