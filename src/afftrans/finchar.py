@@ -1,21 +1,19 @@
 """Characters of finite-dimensional highest-weight modules.
 
 Weight multiplicities via Freudenthal's recursion, exact Weyl dimensions,
-and tensor-product decomposition by the signed-reflection (Racah) rule, which
-folds nothing when ``lam_i + min_i >= 0`` for every ``i`` (``min_i`` the least
-coordinate ``i`` over the weights nu of the smaller factor V_mu): every
-``lam + nu`` is then dominant and the answer is ``{lam + nu: m_mu(nu)}``.
-``tensor_oracle`` recomputes the decomposition along an independent path —
-multiply the two characters, each packed once into a cached integer, then read
-the Weyl character formula off the product — to cross-check the fast path.
+and tensor-product decomposition by the signed-reflection (Racah) rule; when
+``lam_i + min_i >= 0`` for every ``i`` (``min_i`` the least coordinate ``i`` over
+the weights nu of the smaller factor V_mu) nothing reflects, and the answer is
+``{lam + nu: m_mu(nu)}``.  ``tensor_oracle`` cross-checks it along an independent
+path: multiply the two characters, each packed once into a cached integer, then
+read the Weyl character formula off the product.
 
 All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
 and the standard library only.  Each dominant orbit is walked once per process
 (:func:`_orbit`), and each character is built once from those walks, then
-cached by :func:`_character` as sorted (weight, mult) pairs, as drop columns
-beside the multiplicities, and as the ``min_i``.  The walks' weights become
-``Weight``s unchecked (``rootsys._trusted``): they are integers that this
-module computed itself.
+cached by :func:`_character` as sorted (weight, mult) pairs, drop columns beside
+the multiplicities, and the ``min_i``.  The walks' weights become ``Weight``s
+unchecked (``rootsys._trusted``): they are integers that this module computed itself.
 """
 
 from __future__ import annotations
@@ -191,15 +189,14 @@ def _fold(rs: RootSystem, top: Weight, lower: Weight):
 
 def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     """Decomposition multiplicities {nu: (V_lam ply V_mu : V_nu)}: the signed
-    reflections of :func:`_fold` over the weights of the smaller factor, summed,
-    or, when nothing reflects, that factor's sorted pairs shifted by lam."""
+    reflections of :func:`_fold` over the weights of the smaller factor, summed."""
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
     if _dim(rs, mu) > _dim(rs, lam):
         lam, mu = mu, lam  # the rule sums over the smaller character
     pairs, _, lows = _character(rs, mu)
-    if min(map(add, lam, lows)) >= 0:
+    if min(map(add, lam, lows)) >= 0:  # all lam + nu' dominant: the pairs, shifted
         out = {_trusted(map(add, lam, nu)): m for nu, m in pairs}
     else:
         shifted: dict = {}  # lam + w(nu') + rho, dominant, -> signed sum
@@ -248,9 +245,8 @@ def _run_sums(out: list, run: tuple, ends: tuple) -> list:
 
 @lru_cache(maxsize=4096)
 def _packed(rs: RootSystem, lam: Weight, strides: tuple, limb: str) -> int:
-    """V_lam's character as one integer (Kronecker substitution): each mult a ``limb`` cell
-    at flat index drop . ``strides``, read in ``sys.byteorder``; the buffer stops at the
-    largest drop, so on a little-endian machine it is the integer of any box that holds it."""
+    """V_lam's character as one integer: each mult a ``limb`` cell at flat index drop . ``strides``,
+    in ``sys.byteorder``, up to the largest drop (little-endian: any box's integer)."""
     *columns, mults = _character(rs, lam)[1]
     limbs = memoryview(bytearray((sum(map(mul, map(max, columns), strides)) + 1)
                                  * calcsize(limb))).cast(limb)
