@@ -61,6 +61,15 @@ def test_benchmark_case_byte_for_byte(capsys, case):
     assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
+# `afftrans --help` and each subcommand's `--help` at 80 columns, by argv
+HELP_TEXTS = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", HELP_TEXTS)
+def test_help_prints_exactly(capsys, argv):
+    assert run(capsys, *argv.split()) == (0, HELP_TEXTS[argv], "")
+
+
 # ---------------------------------------------------------------------------
 # record and json modes
 
