@@ -19,6 +19,7 @@ unchecked (``rootsys._trusted``): they are integers that this module computed it
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import prod
@@ -243,10 +244,17 @@ def _run_sums(out: list, run: tuple, ends: tuple) -> list:
     return list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
 
 
+def _byteswapped(data, limb: str) -> array:
+    """The ``limb`` cells of the buffer ``data``, the bytes of each reversed."""
+    cells = array(limb, bytes(data))
+    cells.byteswap()
+    return cells
+
+
 @lru_cache(maxsize=4096)
 def _packed(rs: RootSystem, lam: Weight, strides: tuple, limb: str) -> int:
     """V_lam's character as one integer: each mult a ``limb`` cell at flat index drop . ``strides``,
-    in ``sys.byteorder``, up to the largest drop (little-endian: any box's integer)."""
+    up to the largest drop, read little-endian on any host: sum m * 2**(8 * limb size * flat)."""
     *columns, mults = _character(rs, lam)[1]
     limbs = memoryview(bytearray((sum(map(mul, map(max, columns), strides)) + 1)
                                  * calcsize(limb))).cast(limb)
@@ -254,7 +262,9 @@ def _packed(rs: RootSystem, lam: Weight, strides: tuple, limb: str) -> int:
     for column, stride in zip(columns, strides):
         flat = map(add, flat, map(mul, column, repeat(stride)))
     any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None
-    return int.from_bytes(limbs, sys.byteorder)
+    if sys.byteorder == "big":
+        limbs = _byteswapped(limbs, limb)
+    return int.from_bytes(limbs, "little")
 
 
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
@@ -283,7 +293,9 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
     size = cells_in_box * calcsize(limb)
     product = _packed(rs, lam, strides, limb) * _packed(rs, mu, strides, limb)
-    out = memoryview(product.to_bytes(size, sys.byteorder)).cast(limb).tolist()
+    cells = product.to_bytes(size, "little")
+    out = (_byteswapped(cells, limb) if sys.byteorder == "big"
+           else memoryview(cells).cast(limb)).tolist()
     # Weyl-invariant iff every orbit below the top is constant and together
     # they hold every nonzero cell of the box.
     values = list(map(out.__getitem__, orbit_cells))

@@ -353,11 +353,31 @@ def test_one_character_is_packed_per_strides_and_limb():
         box = array.array(limb, bytes(cells * array.array(limb).itemsize))
         for x, m in finchar.weight_multiplicities(A2, lam).items():
             box[sum(map(mul, map(int, root_coords(A2, lam - x)), strides))] = m
+        if sys.byteorder == "big":
+            box.byteswap()  # the packed integer reads little-endian limbs on any host
         hits, full_box = finchar._packed.cache_info().hits, box.tobytes()
-        assert finchar._packed(A2, lam, strides, limb) == int.from_bytes(full_box, sys.byteorder)
+        assert finchar._packed(A2, lam, strides, limb) == int.from_bytes(full_box, "little")
         assert finchar._packed.cache_info().hits == hits + 1
     # [1,0] packed under four (strides, limb) keys, each other factor once
     assert finchar._packed.cache_info().currsize == 7
+
+
+@pytest.mark.parametrize("rs,lam,mu", [
+    (A2, [1, 0], [1, 1]), (A2, [2, 1], [3, 3]), (G2, [1, 0], [0, 1]), (G2, [1, 1], [2, 0])])
+def test_packed_character_is_its_arithmetic_integer(rs, lam, mu):
+    # on any host, V_lam packs to sum m * 2**(8 * limb size * flat) over its
+    # weights, flat = rc(lam - x) . strides in the box of lam + mu
+    lam, mu = Weight(lam), Weight(mu)
+    strides = finchar._product_plan(rs, lam + mu)[0]
+    mults = finchar.weight_multiplicities(rs, lam)
+    for limb in "BHIQ":
+        bits = 8 * array.array(limb).itemsize
+        expected = sum(m << bits * sum(map(mul, map(int, root_coords(rs, lam - x)), strides))
+                       for x, m in mults.items())
+        assert finchar._packed(rs, lam, strides, limb) == expected
+    # a big-endian host reverses the bytes of each limb before reading
+    assert finchar._byteswapped(b"\x01\x02", "H").tolist() == \
+        [int.from_bytes(b"\x02\x01", sys.byteorder)]
 
 
 def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):
