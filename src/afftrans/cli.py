@@ -13,6 +13,11 @@ order of precedence: ``--cap``, the ``AFFTRANS_CAP`` environment variable,
 then the library default.  ``tensor --oracle`` answers through the independent
 Weyl-character read-off; the package imports only the standard library.
 
+Each subcommand is declared once, in ``_COMMANDS``: its name, level policy,
+help text, arguments and handler.  A handler returns its rows, each a list of
+(key, value) pairs, and ``main`` prints them in the chosen mode; only
+``translate-char`` prints its own ``<terms> @ base=<weight>`` line.
+
 Only ``rootsys`` and ``errors`` load with this module.  Each command handler
 imports the layers it uses, so a one-shot call such as ``info A2`` never
 loads the character, translation or alcove layers.
@@ -200,20 +205,19 @@ def _json_value(v):
     return v if isinstance(v, (int, str)) else _fmt_value(v)
 
 
-def _emit(rows, mode: str) -> int:
+def _emit(rows, mode: str) -> None:
     for row in rows:
         if mode == "records":
             print(" ".join(f"{key}={_fmt_value(value)}" for key, value in row))
         else:
             import json
             print(json.dumps({key: _json_value(value) for key, value in row}))
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its rows, one list of (key, value) per line
 
-def _cmd_info(args, rs: RootSystem, level) -> int:
+def _cmd_info(args, rs: RootSystem, level) -> list:
     row = [("type", str(rs.spec)), ("rank", rs.rank),
            ("simply_laced", rs.is_simply_laced),
            ("positive_roots", len(rs.positive_roots)),
@@ -222,73 +226,68 @@ def _cmd_info(args, rs: RootSystem, level) -> int:
         from . import affine
         row += [("level", str(level)), ("k", level.k(rs)),
                 ("alcove_weights", len(affine.enumerate_dominant(rs, level)))]
-    return _emit([row], args.format)
+    return [row]
 
 
-def _cmd_orbit(args, rs: RootSystem, level) -> int:
+def _cmd_orbit(args, rs: RootSystem, level) -> list:
     if level is None:
         from . import weyl
-        rows = [[("weight", w)] for w in sorted(weyl.orbit(rs, args.weight))]
-    else:
-        from . import affine
-        if args.bound is None:
-            raise UsageError("orbit enumeration at a level requires --bound")
-        pairs = affine.dominant_orbit(rs, args.weight, level, args.bound)
-        rows = [[("weight", nu), ("g", affine._spelled(rs, g))]
-                for g, nu in pairs]
-    return _emit(rows, args.format)
+        return [[("weight", w)] for w in sorted(weyl.orbit(rs, args.weight))]
+    from . import affine
+    if args.bound is None:
+        raise UsageError("orbit enumeration at a level requires --bound")
+    pairs = affine.dominant_orbit(rs, args.weight, level, args.bound)
+    return [[("weight", nu), ("g", affine._spelled(rs, g))]
+            for g, nu in pairs]
 
 
-def _cmd_alcove(args, rs: RootSystem, level) -> int:
+def _cmd_alcove(args, rs: RootSystem, level) -> list:
     from . import affine
     rep, g, regular = affine.alcove_rep(rs, args.weight, level)
-    row = [("rep", rep), ("g", affine._spelled(rs, g)), ("regular", regular)]
-    return _emit([row], args.format)
+    return [[("rep", rep), ("g", affine._spelled(rs, g)), ("regular", regular)]]
 
 
-def _cmd_dominant(args, rs: RootSystem, level) -> int:
+def _cmd_dominant(args, rs: RootSystem, level) -> list:
     from . import affine
-    rows = [[("weight", w)] for w in affine.enumerate_dominant(rs, level)]
-    return _emit(rows, args.format)
+    return [[("weight", w)] for w in affine.enumerate_dominant(rs, level)]
 
 
-def _cmd_tensor(args, rs: RootSystem, level) -> int:
+def _cmd_tensor(args, rs: RootSystem, level) -> list:
     from . import finchar
     cap = _resolve_cap(args)
     op = finchar.tensor_oracle if args.oracle else finchar.tensor_decompose
     parts = op(rs, args.lam, args.mu, cap=cap)
-    rows = [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
-    return _emit(rows, args.format)
+    return [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
 
 
-def _cmd_filtration(args, rs: RootSystem, level) -> int:
+def _cmd_filtration(args, rs: RootSystem, level) -> list:
     from . import translate
     cap = _resolve_cap(args)
     op = translate.verma_filtration if args.verma else translate.kl_weyl_filtration
     parts = op(rs, args.lam, args.mu, cap=cap)
-    rows = [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
-    return _emit(rows, args.format)
+    return [[("nu", nu), ("mult", m)] for nu, m in parts.items()]
 
 
-def _cmd_datum(args, rs: RootSystem, level) -> int:
+def _cmd_datum(args, rs: RootSystem, level) -> list:
     from . import translate
     try:
         translate.check_datum(rs, args.lam_left, args.lam_right, args.lam, level)
     except DatumInvalidError as exc:
-        return _emit([[("valid", False), ("reason", str(exc))]], args.format)
-    return _emit([[("valid", True)]], args.format)
+        return [[("valid", False), ("reason", str(exc))]]
+    return [[("valid", True)]]
 
 
-def _cmd_translate_weyl(args, rs: RootSystem, level) -> int:
+def _cmd_translate_weyl(args, rs: RootSystem, level) -> list:
     from . import translate
     cap = _resolve_cap(args)
     g = _parse_element(rs, level, args.element)
     op = translate.translate_verma if args.verma else translate.translate_weyl
     image = op(rs, g, args.src, args.dst, level, cap=cap)
-    return _emit([[("image", image)]], args.format)
+    return [[("image", image)]]
 
 
-def _cmd_translate_char(args, rs: RootSystem, level) -> int:
+def _cmd_translate_char(args, rs: RootSystem, level) -> list:
+    """Prints its one ``<terms> @ base=<weight>`` line itself: no rows."""
     from . import affine, translate
     coeffs = _parse_char_terms(rs, level, args.char)
     chi = translate.make_character(rs, args.src, coeffs, level)
@@ -301,45 +300,101 @@ def _cmd_translate_char(args, rs: RootSystem, level) -> int:
     else:
         import json
         print(json.dumps({"char": body, "base": str(out.base)}))
-    return 0
+    return []
 
 
-def _cmd_verify_lemma(args, rs: RootSystem, level) -> int:
+def _cmd_verify_lemma(args, rs: RootSystem, level) -> list:
     from . import translate
     g = _parse_element(rs, level, args.element)
     verdict = translate.verify_weight_geometry(
         rs, args.lam, args.mu, g, level, args.bound)
-    return _emit([[("verified", verdict)]], args.format)
+    return [[("verified", verdict)]]
 
 
-def _cmd_admissible(args, rs: RootSystem, level) -> int:
+def _cmd_admissible(args, rs: RootSystem, level) -> list:
     from . import annihilator
-    rows = [[("weight", w)] for w in annihilator.admissible_list(rs, level)]
-    return _emit(rows, args.format)
+    return [[("weight", w)] for w in annihilator.admissible_list(rs, level)]
 
 
-def _cmd_generator(args, rs: RootSystem, level) -> int:
+def _cmd_generator(args, rs: RootSystem, level) -> list:
     from . import affine, annihilator
     g = annihilator.singular_generator_label(rs, level)
     image = affine.affine_apply(rs, g, Weight.zero(rs.rank), level)
-    row = [("g", affine._spelled(rs, g)), ("weight", image)]
-    return _emit([row], args.format)
+    return [[("g", affine._spelled(rs, g)), ("weight", image)]]
 
 
-def _cmd_transport(args, rs: RootSystem, level) -> int:
+def _cmd_transport(args, rs: RootSystem, level) -> list:
     from . import affine, annihilator, translate
     cap = _resolve_cap(args)
     gens = {_parse_element(rs, level, t)
             for t in _split_terms(args.generators) if t.strip()}
     labels = annihilator.make_labels(rs, Weight.zero(rs.rank), gens, level)
     _, images = annihilator._transport(rs, labels, args.to, cap)
-    rows = [[("g", affine._spelled(rs, g)), ("image", images[g])]
+    return [[("g", affine._spelled(rs, g)), ("image", images[g])]
             for g in translate._in_order(rs, images)]
-    return _emit(rows, args.format)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the subcommand table: name -> (level policy, help, arguments, handler).  The
+# level policy is None (takes no level), "optional" or "required".  Each
+# subparser takes ``type`` first, then each (name, add_argument keywords) in order.
+
+_WEIGHT = dict(type=_weight_arg)
+_REQUIRED_WEIGHT = dict(type=_weight_arg, required=True)
+
+_COMMANDS = {
+    "info": ("optional", "root-system summary",
+             [], _cmd_info),
+    "orbit": ("optional", "finite Weyl orbit, or dominant dot-orbit at a level",
+              [("weight", _WEIGHT),
+               ("--bound", dict(type=int, default=None,
+                                help="height bound for orbit enumeration at a level"))],
+              _cmd_orbit),
+    "alcove": ("required", "alcove representative, group element and regularity",
+               [("weight", _WEIGHT)], _cmd_alcove),
+    "dominant": ("required", "integral weights of the dominant alcove",
+                 [], _cmd_dominant),
+    "tensor": (None, "tensor product decomposition",
+               [("lam", _WEIGHT), ("mu", _WEIGHT),
+                ("--oracle", dict(action="store_true",
+                                  help="use the independent Weyl-character read-off"))],
+               _cmd_tensor),
+    "filtration": (None, "Weyl (or, with --verma, Verma) filtration multiplicities",
+                   [("lam", _WEIGHT), ("mu", _WEIGHT), ("--verma", dict(action="store_true"))],
+                   _cmd_filtration),
+    "datum": ("required", "validate a translation triple",
+              [("lam_left", _WEIGHT), ("lam_right", _WEIGHT), ("lam", _WEIGHT)],
+              _cmd_datum),
+    "translate-weyl": ("required", "translate one module label between linkage classes",
+                       [("--element", dict(required=True,
+                                           help="group element, e.g. e, saff, t[5]*s1")),
+                        ("--from", dict(dest="src", **_REQUIRED_WEIGHT)),
+                        ("--to", dict(dest="dst", **_REQUIRED_WEIGHT)),
+                        ("--verma", dict(action="store_true", help="drop the dominance "
+                                         "requirement on the source label"))],
+                       _cmd_translate_weyl),
+    "translate-char": ("required", "translate a Weyl-basis character between linkage classes",
+                       [("--from", dict(dest="src", **_REQUIRED_WEIGHT)),
+                        ("--to", dict(dest="dst", **_REQUIRED_WEIGHT)),
+                        ("--char", dict(required=True, help="comma-separated "
+                                        "<element>:<coefficient> terms"))],
+                       _cmd_translate_char),
+    "verify-lemma": ("required", "exhaustive check of the translation weight geometry",
+                     [("--lam", _REQUIRED_WEIGHT), ("--mu", _REQUIRED_WEIGHT),
+                      ("--element", dict(required=True)),
+                      ("--bound", dict(type=int, required=True))],
+                     _cmd_verify_lemma),
+    "admissible": ("required", "regular integral alcove weights",
+                   [], _cmd_admissible),
+    "generator": ("required", "label of the singular generator over weight 0",
+                  [], _cmd_generator),
+    "transport": ("required", "re-base a submodule label set from 0 to another weight",
+                  [("--to", _REQUIRED_WEIGHT),
+                   ("--generators", dict(default="", help="comma-separated group "
+                                         "elements (may be empty)"))],
+                  _cmd_transport),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -358,84 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "the dual Coxeter number")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, level, help_text):
-        """``level`` is None (takes no level), "optional" or "required"."""
-        parents = [common] if level is None else [common, leveled]
+    for name, (policy, help_text, arguments, _) in _COMMANDS.items():
+        parents = [common] if policy is None else [common, leveled]
         p = sub.add_parser(name, parents=parents, help=help_text)
         p.add_argument("type", type=_type_arg, help="root system, e.g. A2")
-        p.set_defaults(func=func, level_policy=level)
-        return p
-
-    p = add("info", _cmd_info, "optional", "root-system summary")
-
-    p = add("orbit", _cmd_orbit, "optional",
-            "finite Weyl orbit, or dominant dot-orbit at a level")
-    p.add_argument("weight", type=_weight_arg)
-    p.add_argument("--bound", type=int, default=None,
-                   help="height bound for orbit enumeration at a level")
-
-    p = add("alcove", _cmd_alcove, "required",
-            "alcove representative, group element and regularity")
-    p.add_argument("weight", type=_weight_arg)
-
-    add("dominant", _cmd_dominant, "required",
-        "integral weights of the dominant alcove")
-
-    p = add("tensor", _cmd_tensor, None,
-            "tensor product decomposition")
-    p.add_argument("lam", type=_weight_arg)
-    p.add_argument("mu", type=_weight_arg)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the independent Weyl-character read-off")
-
-    p = add("filtration", _cmd_filtration, None,
-            "Weyl (or, with --verma, Verma) filtration multiplicities")
-    p.add_argument("lam", type=_weight_arg)
-    p.add_argument("mu", type=_weight_arg)
-    p.add_argument("--verma", action="store_true")
-
-    p = add("datum", _cmd_datum, "required",
-            "validate a translation triple")
-    p.add_argument("lam_left", type=_weight_arg)
-    p.add_argument("lam_right", type=_weight_arg)
-    p.add_argument("lam", type=_weight_arg)
-
-    p = add("translate-weyl", _cmd_translate_weyl, "required",
-            "translate one module label between linkage classes")
-    p.add_argument("--element", required=True, help="group element, "
-                   "e.g. e, saff, t[5]*s1")
-    p.add_argument("--from", dest="src", type=_weight_arg, required=True)
-    p.add_argument("--to", dest="dst", type=_weight_arg, required=True)
-    p.add_argument("--verma", action="store_true",
-                   help="drop the dominance requirement on the source label")
-
-    p = add("translate-char", _cmd_translate_char, "required",
-            "translate a Weyl-basis character between linkage classes")
-    p.add_argument("--from", dest="src", type=_weight_arg, required=True)
-    p.add_argument("--to", dest="dst", type=_weight_arg, required=True)
-    p.add_argument("--char", required=True,
-                   help="comma-separated <element>:<coefficient> terms")
-
-    p = add("verify-lemma", _cmd_verify_lemma, "required",
-            "exhaustive check of the translation weight geometry")
-    p.add_argument("--lam", type=_weight_arg, required=True)
-    p.add_argument("--mu", type=_weight_arg, required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    add("admissible", _cmd_admissible, "required",
-        "regular integral alcove weights")
-
-    add("generator", _cmd_generator, "required",
-        "label of the singular generator over weight 0")
-
-    p = add("transport", _cmd_transport, "required",
-            "re-base a submodule label set from 0 to another weight")
-    p.add_argument("--to", type=_weight_arg, required=True)
-    p.add_argument("--generators", default="",
-                   help="comma-separated group elements (may be empty)")
-
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
     return parser
 
 
@@ -447,15 +430,17 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     rs = args.type
+    policy, _, _, handler = _COMMANDS[args.command]
     try:
         for value in vars(args).values():  # every parsed weight argument
             if isinstance(value, Weight) and len(value) != rs.rank:
                 raise UsageError(f"weight {value} has wrong rank for {rs.spec}")
         level = _resolve_level(args, rs)
-        if level is None and args.level_policy == "required":
+        if level is None and policy == "required":
             raise UsageError(f"'{args.command}' requires --level or --k")
         _warn_lattice(rs, level)
-        return args.func(args, rs, level)
+        _emit(handler(args, rs, level), args.format)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,9 @@ subcommand loads in a fresh interpreter."""
 
 from __future__ import annotations
 
+import argparse
 import doctest
+import json
 import pickle
 import subprocess
 import sys
@@ -146,3 +148,15 @@ def test_each_command_loads_only_its_layers(argv, code, layers):
            f"    code = cli.main({argv!r})\n"
            f"assert code == {code}, code")
     assert _loaded(run) == layers
+
+
+def test_every_subcommand_is_benchmarked_and_layer_pinned():
+    # a new subcommand must join perfbench's cli-oneshot cases and the layer
+    # pins above; cli_cases.json is read, never written
+    from afftrans import cli
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    cases = json.loads((Path(__file__).parents[1] / "perfbench" / "cli_cases.json").read_text())
+    assert set(commands) == set(cases) - {"usage-error", "domain-error"}
+    assert set(commands) == {argv[0] for argv, _, _ in LAYERS_PER_COMMAND}
