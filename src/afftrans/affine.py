@@ -92,16 +92,16 @@ _set_finite = AffineWeylElement.finite.__set__
 
 def _as_group_element(rs: RootSystem, g, level: Level | None = None,
                       what: str = "g") -> AffineWeylElement:
-    """``g`` once it is an ``AffineWeylElement`` with a ``WeylElement`` finite part and a
-    translation of the right rank, in ``pQ^vee`` when ``level`` is given (memoized per root system,
-    translation and ``p``): the one public group-element check.  Letters are checked where used."""
+    """``g`` with its checked ``Weight`` translation (``g`` itself if it has one) of the right rank,
+    in ``pQ^vee`` at ``level`` if given (memoized), once its finite part is a ``WeylElement``: the
+    one public group-element check.  Letters are checked where used."""
     g = _as_instance(g, AffineWeylElement, what)
     _as_instance(g.finite, WeylElement, f"finite part of {what}")
     beta = _as_weight(rs, g.translation, f"translation of {what}")
     if level is not None and not _in_coroot_lattice(rs, beta, _as_level(level).p):
         raise DomainError(f"translation {beta} is not in {level.p}Q^vee "
                           f"(root coords {root_coords(rs, beta)})")
-    return g
+    return g if beta is g.translation else AffineWeylElement(beta, g.finite)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -158,12 +158,11 @@ def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Wei
 
 
 def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
-    """``g . lam`` for ``g`` checked at a level and a checked ``lam``; letters are checked as
-    they are applied.  Unchecked from an integral ``lam`` and a ``Weight`` translation (in
-    pQ^vee, so integral); else by ``Weight``, which stores ``Fraction(2, 1)`` as ``2``."""
+    """``g . lam`` for ``g`` checked at a level and a checked ``lam``, letters checked as applied;
+    unchecked unless ``lam`` is rational, when ``Weight`` stores ``Fraction(2, 1)`` as ``2``."""
     x = weyl._apply_word(rs, g.finite.word, map(add, lam, rs.rho))
     image = map(add, map(sub, x, rs.rho), g.translation)
-    return (_trusted if type(g.translation) is Weight and lam.is_integral else Weight)(image)
+    return (_trusted if lam.is_integral else Weight)(image)
 
 
 def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> AffineWeylElement:
@@ -172,6 +171,11 @@ def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> Affin
     point of the open alcove, where ``base`` lies, so ``g`` is the walk's element for its image."""
     g = _as_group_element(rs, g, level, what)
     g = AffineWeylElement(g.translation, weyl.canonical_from_word(rs, g.finite.word))
+    return _dominant_at(rs, g, base, what)
+
+
+def _dominant_at(rs: RootSystem, g: AffineWeylElement, base: Weight, what: str):
+    """Checked ``g`` once ``g . base`` is dominant: the one refusal of a key or generator."""
     image = _dot(rs, g, base)
     if not image.is_dominant:
         raise DomainError(

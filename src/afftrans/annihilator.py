@@ -27,17 +27,22 @@ class SubmoduleLabels(_Frozen):
 def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabels:
     """Validated label set: non-identity generators that pass :func:`affine._as_label`."""
     base = _as_alcove_weight(rs, base, level, "base")
-    try:
-        gens = frozenset(generators)
-    except TypeError:
-        raise DomainError(f"generators must be a collection of group elements, "
-                          f"got {_a_or_an(type(generators).__name__)}") from None
+    gens = _as_frozenset(generators)
     respelled = frozenset(affine._as_label(rs, g, base, level, "generator") for g in gens)
     if any(g.is_identity for g in respelled):
         raise DomainError("the identity labels the whole module, not a proper submodule")
     if respelled != gens:  # else keep the caller's set: transport follows its order
         gens = respelled
     return SubmoduleLabels(base=base, level=level, generators=gens)
+
+
+def _as_frozenset(generators) -> frozenset:
+    """``generators`` as a frozenset (itself if one): the one check of the collection."""
+    try:
+        return frozenset(generators)
+    except TypeError:
+        raise DomainError(f"generators must be a collection of group elements, "
+                          f"got {_a_or_an(type(generators).__name__)}") from None
 
 
 def admissible_list(rs: RootSystem, level: Level,
@@ -85,13 +90,15 @@ def _transport(rs: RootSystem, labels: SubmoduleLabels, lam,
     """:func:`transport` under ``cap``, and the image ``g . lam`` of every generator ``g``."""
     from . import translate  # with finchar: loaded for transport alone
     zero = Weight.zero(rs.rank)
-    if _as_instance(labels, SubmoduleLabels, "labels").base != zero:
-        raise DomainError(f"transport starts from base 0, not {labels.base}")
+    level = _as_instance(labels, SubmoduleLabels, "labels").level
+    base = _as_weight(rs, labels.base, "base")
+    if base != zero:
+        raise DomainError(f"transport starts from base 0, not {base}")
     lam = _as_weight(rs, lam, "lam")
     # translate_weyl's order: the base 0 as a regular ``mu``, then ``lam``.
-    _as_alcove_weight(rs, zero, labels.level, "mu", regular=True)
-    lam = _as_alcove_weight(rs, lam, labels.level, "lam", regular=True)
+    _as_alcove_weight(rs, zero, level, "mu", regular=True)
+    lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
     _as_instance(cap, int, "cap")  # also when there is no generator to translate
-    images = {g: translate._translate(rs, g, zero, lam, labels.level, cap)
-              for g in labels.generators}
-    return SubmoduleLabels(base=lam, level=labels.level, generators=labels.generators), images
+    gens = _as_frozenset(labels.generators)
+    images = {g: translate._translate(rs, g, zero, lam, level, cap) for g in gens}
+    return SubmoduleLabels(base=lam, level=level, generators=gens), images

@@ -8,8 +8,8 @@ invariant bilinear form is normalised so that long roots have squared length 2.
 ``_trusted`` builds a ``Weight`` without the check of ``Weight.__new__``, only from ints the
 library computed from integral-checked inputs (the walks of finchar, the affine and translation
 cores).  Where a rational may arrive the check stays, since ``Weight`` normalises
-``Fraction(2, 1)`` to ``2``: ``weyl.apply``, and ``affine._dot`` for a rational weight
-(``affine_apply``) or a translation that is not a ``Weight``.
+``Fraction(2, 1)`` to ``2``: ``weyl.apply``, and ``affine._dot`` for a rational weight, which
+only ``affine_apply`` takes.
 """
 
 from __future__ import annotations

@@ -191,16 +191,22 @@ def _in_order(rs: RootSystem, elements) -> list:
     return sorted(elements, key=lambda g: (_root_numerator(rs, g.translation), g.finite.word))
 
 
-def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
-    """Validated, canonically ordered character over the class of ``base``."""
-    base = _as_alcove_weight(rs, base, level, "base")
+def _int_items(coeffs):
+    """The items of ``coeffs``, each once its value is an int: the one check of coefficients."""
     if not hasattr(coeffs, "items"):
         raise DomainError(f"coefficients must map group elements to integers, "
                           f"got {_a_or_an(type(coeffs).__name__)}")
-    cleaned = {}
     for g, c in coeffs.items():
         if type(c) is not int:  # bool is no coefficient
             raise DomainError(f"coefficient {c!r} is not an int")
+        yield g, c
+
+
+def make_character(rs: RootSystem, base, coeffs, level: Level) -> LinkageCharacter:
+    """Validated, canonically ordered character over the class of ``base``."""
+    base = _as_alcove_weight(rs, base, level, "base")
+    cleaned = {}
+    for g, c in _int_items(coeffs):
         if c == 0:
             continue
         g = affine._as_label(rs, g, base, level, "key")
@@ -214,26 +220,22 @@ def translate_character(rs: RootSystem, chi: LinkageCharacter,
                         lam) -> LinkageCharacter:
     """Re-key a Weyl-basis character to the linkage class of ``lam``.
 
-    Coefficients ride along unchanged; a key whose image at the new base
-    leaves the dominant cone is refused (for regular bases none that
-    :func:`make_character` accepts does).
+    Coefficients ride along unchanged, zeros too, once each is an int; a key is checked as a group
+    element and refused if its image at the new base leaves the dominant cone (for regular bases
+    none that :func:`make_character` accepts does).  The result holds the checked keys.
     """
-    _as_instance(chi, LinkageCharacter, "chi")
-    _as_alcove_weight(rs, chi.base, chi.level, "base", regular=True)
-    lam = _as_alcove_weight(rs, lam, chi.level, "lam", regular=True)
-    for g in chi.coeffs:
-        image = affine._dot(rs, affine._as_group_element(rs, g, chi.level), lam)
-        if not image.is_dominant:
-            raise DomainError(f"key {affine._spelled(rs, g)} sends {lam} to {image}, "
-                              "outside the dominant cone")
-    return LinkageCharacter(chi.level, lam, {g: chi.coeffs[g] for g in _in_order(rs, chi.coeffs)})
+    level = _as_instance(chi, LinkageCharacter, "chi").level
+    _as_alcove_weight(rs, chi.base, level, "base", regular=True)
+    lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
+    coeffs = {affine._dominant_at(rs, affine._as_group_element(rs, g, level), lam, "key"): c
+              for g, c in _int_items(chi.coeffs)}
+    return LinkageCharacter(level, lam, {g: coeffs[g] for g in _in_order(rs, coeffs)})
 
 
 def round_trip_check(rs: RootSystem, chi: LinkageCharacter, lam) -> bool:
-    """Translate to ``lam`` and back; must reproduce ``chi`` exactly, or raise."""
+    """Translate to ``lam`` and back; the checked coefficients must come back, or raise."""
     there = translate_character(rs, chi, lam)
-    back = translate_character(rs, there, chi.base)
-    return back == chi
+    return translate_character(rs, there, chi.base).coeffs == there.coeffs
 
 
 def verma_filtration(rs: RootSystem, lam, mu, *,

@@ -69,7 +69,7 @@ def _apply_word(rs: RootSystem, word, coords) -> list:
     n = len(rs.simple_roots)
     out = list(coords)
     for i in reversed(word):
-        if not (isinstance(i, int) and 0 <= i < n):
+        if not (type(i) is int and 0 <= i < n):  # bool is no letter
             raise DomainError(f"Weyl word {tuple(word)} has letter {i!r} "
                               f"outside 0..{n - 1} for {rs.spec}")
         _reflect_in_place(rs, out, i)

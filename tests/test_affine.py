@@ -528,10 +528,11 @@ def _element_with(param, finite, translation=ZERO):
 @pytest.mark.parametrize("fn,valid,param", [
     cell for cell in _element_cells() if cell.values[0] is not affine.translation_lattice_coords])
 def test_bad_word_letter_is_domain_error(fn, valid, param):
-    # translation_lattice_coords never reads the word
-    with pytest.raises(DomainError,
-                       match=r"^Weyl word \(7,\) has letter 7 outside 0\.\.1 for A2$"):
-        _spoiled(fn, valid, param, _element_with(param, WeylElement((7,))))
+    # translation_lattice_coords never reads the word; a bool is no letter
+    for letter in (7, True):
+        with pytest.raises(DomainError, match=rf"^Weyl word \({letter},\) has letter {letter} "
+                                              r"outside 0\.\.1 for A2$"):
+            _spoiled(fn, valid, param, _element_with(param, WeylElement((letter,))))
 
 
 @pytest.mark.parametrize("fn,valid,param", [
@@ -544,9 +545,14 @@ def test_wrong_rank_translation_is_domain_error_naming_the_argument(fn, valid, p
 
 
 def test_make_labels_refuses_a_non_collection():
-    for bad in (5, [[G]]):  # not iterable; an unhashable member
-        with pytest.raises(DomainError, match="generators must be a collection"):
+    for bad, found in ((5, "an int"), ([[G]], "a list"), (None, "a NoneType")):
+        # not iterable, an unhashable member, not iterable; transport reads a
+        # hand-built record's generators through the same refusal
+        message = f"^generators must be a collection of group elements, got {found}$"
+        with pytest.raises(DomainError, match=message):
             annihilator.make_labels(A2, ZERO, bad, P5)
+        with pytest.raises(DomainError, match=message):
+            annihilator.transport(A2, annihilator.SubmoduleLabels(ZERO, P5, bad), OK)
 
 
 def test_element_table_covers_every_public_element_function():

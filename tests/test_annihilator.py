@@ -151,6 +151,9 @@ def test_transport_requires_zero_base():
     moved = annihilator.transport(A1, labels, Weight([2]))
     with pytest.raises(DomainError, match="starts from base 0"):
         annihilator.transport(A1, moved, Weight([1]))
+    # a hand-built list base is read as the weight it spells
+    hand_built = annihilator.SubmoduleLabels([0], level, frozenset({g}))
+    assert annihilator.transport(A1, hand_built, Weight([2])) == moved
 
 
 def test_transport_empty_set():

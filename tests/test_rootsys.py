@@ -41,6 +41,7 @@ def test_a1_construction():
 
 def test_a2_construction():
     rs = root_system("A2")
+    assert str(rs) == "A2"
     assert rs.theta == Weight([1, 1])
     assert rs.rho == Weight([1, 1])
     assert rs.dual_coxeter == 3

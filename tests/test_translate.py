@@ -275,6 +275,10 @@ def test_make_character_orders_and_validates():
 def test_make_character_refuses_a_non_mapping():
     with pytest.raises(DomainError, match="got a list"):
         translate.make_character(A1, Weight([0]), [SAFF], P5)
+    # a hand-built character's coefficients are read through the same refusal
+    with pytest.raises(DomainError,
+                       match="^coefficients must map group elements to integers, got a list$"):
+        translate.translate_character(A1, LinkageCharacter(P5, [0], [SAFF]), [2])
 
 
 @pytest.mark.parametrize("bad", ["x", 1.5, Fraction(1, 2), True, 0.0, False],
@@ -283,6 +287,8 @@ def test_make_character_refuses_a_non_int_coefficient(bad):
     # checked before zeros are dropped, so 0.0 and False are refused too
     with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not an int$"):
         translate.make_character(A1, Weight([0]), {SAFF: bad}, P5)
+    with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not an int$"):
+        translate.translate_character(A1, LinkageCharacter(P5, [0], {SAFF: bad}), [2])
 
 
 def test_make_character_drops_zeros():
@@ -362,7 +368,11 @@ def test_make_character_lattice_test_reads_tuple_and_fraction_translations(shape
     B2 = root_system("B2")
     outside = AffineWeylElement(_lattice_shape([5, 0], shape), IDENTITY)
     inside = AffineWeylElement(_lattice_shape([10, 0], shape), IDENTITY)
-    assert translate.make_character(B2, [0, 0], {inside: 1}, P5).coeffs == {inside: 1}
+    chi = translate.make_character(B2, [0, 0], {inside: 1}, P5)
+    assert chi.coeffs == {inside: 1}
+    # both store the key with its checked Weight translation
+    moved = translate.translate_character(B2, LinkageCharacter(P5, [0, 0], {inside: 1}), [0, 1])
+    assert [type(g.translation) for g in (*chi.coeffs, *moved.coeffs)] == [Weight, Weight]
     with pytest.raises(DomainError, match=r"^translation \[5,0\] is not in 5Q\^vee "
                                           r"\(root coords \(5, 5\)\)$"):
         translate.make_character(B2, [0, 0], {outside: 1}, P5)
@@ -445,6 +455,8 @@ def test_round_trip_examples():
     chi = translate.make_character(A1, Weight([0]), {E1: 2, SAFF: -1}, P5)
     assert translate.round_trip_check(A1, chi, Weight([2]))
     assert translate.round_trip_check(A1, chi, Weight([0]))
+    # a hand-built list base comes back as the Weight it spells
+    assert translate.round_trip_check(A1, LinkageCharacter(P5, [0], {E1: 2, SAFF: -1}), [2])
 
 
 def test_round_trip_random_characters():
