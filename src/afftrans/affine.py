@@ -9,6 +9,9 @@ dominant and ``0 < (lam + rho, theta) < p``.
 Every walk into the closed fundamental alcove is :func:`_alcove_walk`: a
 reduction modulo ``pQ^vee``, then the finite dominant walk of :mod:`weyl`,
 alternated with the reflection through the wall ``(lam + rho, theta) = p``.
+
+The finite part ``w . lam`` of the dot action is memoized per (root system, word, integral
+``lam``); a word that is not a tuple of ``int`` letters bypasses the cache (see :mod:`weyl`).
 """
 
 from __future__ import annotations
@@ -160,9 +163,16 @@ def affine_apply(rs: RootSystem, g: AffineWeylElement, lam, level: Level) -> Wei
 def _dot(rs: RootSystem, g: AffineWeylElement, lam: Weight) -> Weight:
     """``g . lam`` for ``g`` checked at a level and a checked ``lam``, letters checked as applied;
     unchecked unless ``lam`` is rational, when ``Weight`` stores ``Fraction(2, 1)`` as ``2``."""
-    x = weyl._apply_word(rs, g.finite.word, map(add, lam, rs.rho))
-    image = map(add, map(sub, x, rs.rho), g.translation)
-    return (_trusted if lam.is_integral else Weight)(image)
+    word = g.finite.word
+    if lam.is_integral and weyl._is_key(word):
+        return _trusted(map(add, _finite_dot(rs, word, lam), g.translation))
+    return Weight(map(add, _finite_dot.__wrapped__(rs, word, lam), g.translation))
+
+
+@functools.lru_cache(maxsize=4096)
+def _finite_dot(rs: RootSystem, word: tuple, lam: Weight) -> tuple:
+    """``w . lam = w(lam + rho) - rho`` for ``w`` spelled by ``word``."""
+    return tuple(map(sub, weyl._apply_word(rs, word, map(add, lam, rs.rho)), rs.rho))
 
 
 def _as_label(rs: RootSystem, g, base: Weight, level: Level, what: str) -> AffineWeylElement:
@@ -299,7 +309,7 @@ def alcove_rep(rs: RootSystem, lam, level: Level):
     # The reduction is a translation and every step an involution, so g = t L_1 ... L_k for the
     # steps in walk order.  Its finite part is the word of their finite parts; its translation
     # then follows from g . rep = lam: lam + rho - w(x).
-    w = weyl.canonical_from_word(rs, letters)
+    w = weyl.canonical_from_word(rs, tuple(letters))
     moved = weyl._apply_word(rs, w.word, x)
     g = AffineWeylElement(_trusted(map(sub, map(add, lam, rs.rho), moved)), w)
     return rep, g, _off_walls(rs, x, p)

@@ -9,6 +9,8 @@ survivor search of :mod:`translate`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from . import affine
 from .affine import AffineWeylElement, Level, _as_alcove_weight
 from .errors import DomainError
@@ -37,10 +39,17 @@ def make_labels(rs: RootSystem, base, generators, level: Level) -> SubmoduleLabe
 
 
 def _as_frozenset(generators) -> frozenset:
-    """``generators`` as a frozenset (itself if one): the one check of the collection."""
+    """``generators`` as a frozenset (itself if one): the one check of the collection, which
+    names a member that cannot be hashed."""
     try:
         return frozenset(generators)
     except TypeError:
+        if isinstance(generators, Iterable):
+            for g in generators:
+                try:
+                    hash(g)
+                except TypeError:
+                    raise DomainError(f"generator {g!r} is unhashable") from None
         raise DomainError(f"generators must be a collection of group elements, "
                           f"got {_a_or_an(type(generators).__name__)}") from None
 

@@ -128,7 +128,7 @@ def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level, cap: in
     if not (verma or start.is_dominant):
         raise DomainError(f"g.mu {start} is not dominant integral")
     expected = affine._dot(rs, g, lam)
-    tau = _trusted(weyl._dominant_walk(rs, list(map(sub, lam, mu))))
+    tau = weyl._dominant(rs, tuple(map(sub, lam, mu)))
     survivors = _survivors(rs, tau, start, lam, level.p, cap, verma)
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
@@ -160,7 +160,7 @@ def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
     if height > _as_instance(bound, int, "bound"):
         raise DomainError(
             f"bound {bound} does not cover g.mu = {start} (height {height})")
-    tau = _trusted(weyl._dominant_walk(rs, list(map(sub, lam, mu))))
+    tau = weyl._dominant(rs, tuple(map(sub, lam, mu)))
     p, shifted_start = level.p, tuple(map(add, start, rs.rho))
     orbit = {_residue(rs, y, p) for y, _, _ in weyl._descend(rs, tuple(map(add, lam, rs.rho)))}
     return sum(_residue(rs, tuple(map(add, shifted_start, nu)), p) in orbit

@@ -14,6 +14,12 @@ strips exactly those letters, so its letters are the canonical word.
 Every orbit is listed by :func:`_descend`, that walk run backwards from the
 dominant point: weight orbits, the group itself (the orbit of ``rho``) and
 the signed sums of the character layer.
+
+Three walks are memoized: :func:`canonical_from_word` per (root system, word), the finite part
+of ``affine._dot`` per (root system, word, integral weight) and :func:`_dominant` per (root
+system, coordinates).  A word is a key only as a tuple of ``int`` letters (:func:`_is_key`).  Any
+other word, a list or one with a bool letter (equal to its int and hashed alike), is walked and
+checked on every call, so no entry answers for a word that the walk refuses.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import functools
 from math import prod
 
 from .errors import DomainError
-from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, pairing
+from .rootsys import RootSystem, Weight, _as_instance, _as_weight, _Frozen, _trusted, pairing
 
 
 class WeylElement(_Frozen):
@@ -63,14 +69,26 @@ def _reflect_in_place(rs: RootSystem, coords: list, i: int) -> None:
                 coords[k] -= c * a
 
 
+def _int_letter(i) -> bool:
+    """Whether the letter ``i`` is an ``int`` (a bool is none): the one type test of a letter."""
+    return type(i) is int
+
+
+def _is_key(word) -> bool:
+    """Whether ``word`` may key a cache of walks by word: a tuple of ``int`` letters."""
+    return type(word) is tuple and all(map(_int_letter, word))
+
+
 def _apply_word(rs: RootSystem, word, coords) -> list:
     """Apply s_{word[0]} ... s_{word[-1]} to coords (rightmost letter first),
     checking that each letter is a simple index of ``rs``."""
     n = len(rs.simple_roots)
     out = list(coords)
     for i in reversed(word):
-        if not (type(i) is int and 0 <= i < n):  # bool is no letter
-            raise DomainError(f"Weyl word {tuple(word)} has letter {i!r} "
+        if not _int_letter(i):
+            raise DomainError(f"Weyl word {tuple(word)} has letter {i!r}, which is not an int")
+        if not 0 <= i < n:
+            raise DomainError(f"Weyl word {tuple(word)} has letter {i} "
                               f"outside 0..{n - 1} for {rs.spec}")
         _reflect_in_place(rs, out, i)
     return out
@@ -93,6 +111,12 @@ def _dominant_walk(rs: RootSystem, x: list, letters: list | None = None) -> list
             return x
 
 
+@functools.lru_cache(maxsize=4096)
+def _dominant(rs: RootSystem, coords: tuple) -> Weight:
+    """The dominant point of the W-orbit of the integral ``coords``."""
+    return _trusted(_dominant_walk(rs, list(coords)))
+
+
 def _word_of(rs: RootSystem, x: list) -> WeylElement:
     """The element ``w`` with ``w(rho) = x``, for ``x`` in the rho-orbit: the
     letters of the dominant walk of ``x`` (walked in place)."""
@@ -113,13 +137,18 @@ def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weig
 
 def canonical_from_word(rs: RootSystem, word) -> WeylElement:
     """Canonicalize an arbitrary (not necessarily reduced) word: the letters
-    of the dominant walk of ``w(rho)``."""
-    return _word_of(rs, _apply_word(rs, tuple(word), rs.rho))
+    of the dominant walk of ``w(rho)``, memoized when ``word`` is a key."""
+    return (_canonical if _is_key(word) else _canonical.__wrapped__)(rs, tuple(word))
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical(rs: RootSystem, word: tuple) -> WeylElement:
+    return _word_of(rs, _apply_word(rs, word, rs.rho))
 
 
 def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
     """The product w v (w applied after v)."""
-    word = _as_instance(w, WeylElement, "w").word + _as_instance(v, WeylElement, "v").word
+    word = (*_as_instance(w, WeylElement, "w").word, *_as_instance(v, WeylElement, "v").word)
     return canonical_from_word(rs, word)
 
 
@@ -148,7 +177,7 @@ def dominant_rep(rs: RootSystem, lam, *, shifted: bool = False):
     x = [c + 1 for c in lam] if shifted else list(lam)
     letters: list[int] = []
     _dominant_walk(rs, x, letters)
-    w = canonical_from_word(rs, reversed(letters))
+    w = canonical_from_word(rs, tuple(reversed(letters)))
     regular = all(c > 0 for c in x) if shifted else all(c != 0 for c in x)
     rep = Weight(c - 1 for c in x) if shifted else Weight(x)
     return rep, w, regular

@@ -522,16 +522,16 @@ def _element_with(param, finite, translation=ZERO):
     if param in ("w", "v"):
         return finite
     g = AffineWeylElement(translation, finite)
-    return {"coeffs": {g: 1}, "generators": [g]}.get(param, g)
+    return {g: 1} if param == "coeffs" else [g] if param == "generators" else g
 
 
 @pytest.mark.parametrize("fn,valid,param", [
     cell for cell in _element_cells() if cell.values[0] is not affine.translation_lattice_coords])
 def test_bad_word_letter_is_domain_error(fn, valid, param):
     # translation_lattice_coords never reads the word; a bool is no letter
-    for letter in (7, True):
-        with pytest.raises(DomainError, match=rf"^Weyl word \({letter},\) has letter {letter} "
-                                              r"outside 0\.\.1 for A2$"):
+    for letter, fault in ((7, r"outside 0\.\.1 for A2"), (True, "which is not an int")):
+        with pytest.raises(DomainError, match=rf"^Weyl word \({letter},\) has letter {letter}"
+                                              rf",? {fault}$"):
             _spoiled(fn, valid, param, _element_with(param, WeylElement((letter,))))
 
 
@@ -545,13 +545,15 @@ def test_wrong_rank_translation_is_domain_error_naming_the_argument(fn, valid, p
 
 
 def test_make_labels_refuses_a_non_collection():
-    for bad, found in ((5, "an int"), ([[G]], "a list"), (None, "a NoneType")):
+    collection = "generators must be a collection of group elements, got "
+    for bad, message in ((5, collection + "an int"),
+                         ([[G]], f"generator {re.escape(repr([G]))} is unhashable"),
+                         (None, collection + "a NoneType")):
         # not iterable, an unhashable member, not iterable; transport reads a
         # hand-built record's generators through the same refusal
-        message = f"^generators must be a collection of group elements, got {found}$"
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             annihilator.make_labels(A2, ZERO, bad, P5)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             annihilator.transport(A2, annihilator.SubmoduleLabels(ZERO, P5, bad), OK)
 
 
@@ -728,6 +730,48 @@ def test_memoized_checks_answer_each_level_in_either_order(check, accepts, refus
             else:
                 with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                     check(level)
+
+
+# The caches keyed by a word: the finite part of affine._dot and the element of
+# weyl.canonical_from_word.  Every row of the element table that reaches them.
+WORD_CACHES = (affine._finite_dot, weyl._canonical)
+WALKS_NO_WORD_CACHE = (weyl.apply, affine.finite_element, affine.translation_lattice_coords)
+
+
+def _outcome(fn, valid, param, word):
+    """``fn``'s answer for the element spelled by ``word``, or its refusal's text."""
+    try:
+        return _spoiled(fn, valid, param, _element_with(param, WeylElement(word)))
+    except DomainError as exc:
+        return f"refused: {exc}"
+
+
+@pytest.mark.parametrize("fn,valid,param", [
+    cell for cell in _element_cells() if cell.values[0] not in WALKS_NO_WORD_CACHE])
+def test_word_caches_answer_only_what_the_walk_would(fn, valid, param):
+    for cache in WORD_CACHES:
+        cache.cache_clear()
+    answer = _outcome(fn, valid, param, (1,))
+    assert any(cache.cache_info().currsize for cache in WORD_CACHES)
+    for _ in range(2):  # warm, twice: a refusal leaves no entry
+        # True == 1 and hashes alike, but is no letter
+        assert _outcome(fn, valid, param, (True,)) == (
+            "refused: Weyl word (True,) has letter True, which is not an int")
+        assert _outcome(fn, valid, param, (7,)) == (
+            "refused: Weyl word (7,) has letter 7 outside 0..1 for A2")
+        if param not in ("coeffs", "generators"):  # a key or member with a list word is unhashable
+            assert _outcome(fn, valid, param, [1]) == answer
+
+
+def test_dot_of_a_rational_weight_is_a_checked_weight():
+    g = AffineWeylElement(ZERO, WeylElement((1,)))
+    affine._finite_dot.cache_clear()
+    affine.affine_apply(A2, g, [1, 1], P5)  # the integral weight warms the cache
+    for _ in range(2):
+        image = affine.affine_apply(A2, g, [Fraction(1, 2), Fraction(1, 2)], P5)
+        # s2 . [1/2,1/2] = [2,-5/2], its 2 stored as an int
+        assert type(image) is Weight and image == (2, Fraction(-5, 2)) and type(image[0]) is int
+    assert affine._finite_dot.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ def test_records_pickle_through_the_package():
 CACHES = {
     "affine._alcove_flags": 4096,
     "affine._alcove_rep_coords": 200_000,
+    "affine._finite_dot": 4096,
     "affine._in_coroot_lattice": 4096,
     "affine._theta_reflection": None,
     "finchar._character": 4096,
@@ -79,6 +80,8 @@ CACHES = {
     "finchar._product_plan": 4096,
     "finchar._root_data": None,
     "rootsys._build_root_system": None,
+    "weyl._canonical": 4096,
+    "weyl._dominant": 4096,
     "weyl._order": None,
     "weyl.longest_element": None,
 }
