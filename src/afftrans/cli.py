@@ -396,7 +396,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``only`` when it names one; the usage and the error
+    texts read the same either way."""
     parser = argparse.ArgumentParser(
         prog="afftrans",
         description="Exact weight, alcove and translation combinatorics "
@@ -412,8 +414,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", help="unshifted level; converted by adding "
                                    "the dual Coxeter number")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = None if only is None else "{%s}" % ",".join(_COMMANDS)  # the usage's list of names
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name, (policy, help_text, arguments, _) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
         parents = [common] if policy is None else [common, leveled]
         p = sub.add_parser(name, parents=parents, help=help_text)
         p.add_argument("type", type=_type_arg, help="root system, e.g. A2")
@@ -423,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

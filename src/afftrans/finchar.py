@@ -6,14 +6,14 @@ and tensor-product decomposition by the signed-reflection (Racah) rule; when
 the weights nu of the smaller factor V_mu) nothing reflects, and the answer is
 ``{lam + nu: m_mu(nu)}``.  ``tensor_oracle`` cross-checks it along an independent
 path: multiply the two characters, each packed once into a cached integer, then
-read the Weyl character formula off the product.
+read the Weyl character formula off the product, one signed run of cells per nu.
 
-All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``)
-and the standard library only.  Each dominant orbit is walked once per process
-(:func:`_orbit`), and each character is built once from those walks, then
-cached by :func:`_character` as sorted (weight, mult) pairs, drop columns beside
-the multiplicities, and the ``min_i``.  The walks' weights become ``Weight``s
-unchecked (``rootsys._trusted``): they are integers that this module computed itself.
+All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``) and the
+standard library only.  Each dominant orbit is walked once per process (:func:`_orbit`) and
+laid flat once per box strides (:func:`_flat_orbit`); each character is built once from those
+walks, then cached by :func:`_character` as sorted (weight, mult) pairs, drop columns beside the
+multiplicities, and the ``min_i``.  The walks' weights become ``Weight``s unchecked
+(``rootsys._trusted``): they are integers that this module computed itself.
 """
 
 from __future__ import annotations
@@ -83,15 +83,17 @@ def _dominant_below(rs: RootSystem, lam: Weight):
     only: by Stembridge ("The partial order of dominant weights", Adv. Math.
     136, 1998) every dominant nu < lam lies below a dominant lam - alpha.
     The walk is over plain tuples; each nu becomes a ``Weight`` at the end."""
-    cells = level = {(0,) * rs.rank: tuple(lam)}
-    while level:
-        level = {tuple(map(add, drop, rc)): tuple(map(sub, nu, alpha))
-                 for drop, nu in level.items()
-                 for alpha, _, _, rc in _root_data(rs) if all(map(le, alpha, nu))}
-        level = {drop: nu for drop, nu in level.items() if drop not in cells}
-        cells.update(level)
+    roots = [(alpha, rc) for alpha, _, _, rc in _root_data(rs)]
+    cells, seen = [((0,) * rs.rank, tuple(lam))], set()
+    for drop, nu in cells:  # breadth-first: the list grows as it is read
+        for alpha, rc in roots:
+            if all(map(le, alpha, nu)):
+                down = tuple(map(add, drop, rc))
+                if down not in seen:
+                    seen.add(down)
+                    cells.append((down, tuple(map(sub, nu, alpha))))
     return [(drop, _trusted(nu)) for drop, nu in
-            sorted(cells.items(), key=lambda cell: (sum(cell[0]), cell[0]))]
+            sorted(cells, key=lambda cell: (sum(cell[0]), cell[0]))]
 
 
 def _freudenthal(rs: RootSystem, lam: Weight):
@@ -212,36 +214,42 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
 
 
 @lru_cache(maxsize=4096)
+def _flat_orbit(rs: RootSystem, nu: Weight, strides: tuple) -> tuple:
+    """drop . ``strides`` for each weight of :func:`_orbit`: flat offsets from the orbit's head."""
+    return tuple(sum(map(mul, d, strides)) for _, d in _orbit(rs, nu))
+
+
+@lru_cache(maxsize=4096)
 def _product_plan(rs: RootSystem, top: Weight) -> tuple:
     """Flat layout of a character product with highest weight ``top``: box
     strides and size; the dominant nu below top; the flat index of every cell
-    of every W.nu in one tuple, beside the index (in that tuple) of its
-    orbit's head; and the read-off cells nu + rho - w(rho) with eps(w) = 1 and
-    with eps(w) = -1, one tuple per sign with the bounds of each nu's run, for
+    of every W.nu in one tuple (its head plus :func:`_flat_orbit`), beside the
+    index (in that tuple) of its orbit's head; and one signed run of read-off
+    cells nu + rho - w(rho) and eps(w), with the bounds of each nu's run, for
     the w(rho) that :func:`weyl._descend` lists under the drops of top."""
     below = _dominant_below(rs, top)
     shape = [max(axis) + 1 for axis in zip(*(d for _, d in _orbit(rs, top)))]  # to w0(top)
     strides = tuple(prod(shape[i + 1:]) for i in range(rs.rank))
     floor = tuple(num // rs.inv_cartan_den for num in _root_numerator(rs, top))  # root coords
     terms = [(d, sum(map(mul, d, strides)), eps) for _, d, eps in weyl._descend(rs, rs.rho, floor)]
-    cells, heads, signed, bounds = [], [], ([], []), ([0], [0])
+    reach = tuple(map(max, zip(*(d for d, _, _ in terms))))  # the largest rho-drop per coordinate
+    _, shifts, every_eps = zip(*terms)
+    cells, heads, run, signs, ends = [], [], [], [], [0]
     for drop, nu in below:
-        at, orbit = sum(map(mul, drop, strides)), _orbit(rs, nu)
-        heads += repeat(len(cells), len(orbit))
-        cells += [at + sum(map(mul, d, strides)) for _, d in orbit]
-        for d, shift, eps in terms:
-            if all(map(le, d, drop)):
-                signed[eps < 0].append(at - shift)
-        for run, ends in zip(signed, bounds):
-            ends.append(len(run))
+        at, offsets = sum(map(mul, drop, strides)), _flat_orbit(rs, nu, strides)
+        heads += repeat(len(cells), len(offsets))
+        cells += map(at.__add__, offsets)
+        if all(map(le, reach, drop)):  # every w(rho) of the plan lies under nu
+            run += map(at.__sub__, shifts)
+            signs += every_eps
+        else:
+            for d, shift, eps in terms:
+                if all(map(le, d, drop)):
+                    run.append(at - shift)
+                    signs.append(eps)
+        ends.append(len(run))
     return (strides, prod(shape), tuple(nu for _, nu in below), tuple(cells),
-            tuple(heads), *map(tuple, signed), *map(tuple, bounds))
-
-
-def _run_sums(out: list, run: tuple, ends: tuple) -> list:
-    """The sum of ``out`` over each run of cells, the runs ending at ``ends``."""
-    partial = [0, *accumulate(map(out.__getitem__, run))]
-    return list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
+            tuple(heads), tuple(run), tuple(signs), tuple(ends))
 
 
 def _byteswapped(data, limb: str) -> array:
@@ -283,8 +291,8 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
     _guard(rs, lam, mu, cap)
-    strides, cells_in_box, nus, orbit_cells, heads, plus, minus, plus_ends, minus_ends = \
-        _product_plan(rs, lam + mu)
+    strides, cells_in_box, nus, orbit_cells, heads, run, signs, ends = \
+        _product_plan(rs, _trusted(map(add, lam, mu)))
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
     largest = prod(sum(_character(rs, wt)[1][-1]) for wt in (lam, mu))  # bounds every cell
@@ -303,7 +311,8 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
             or len(values) - values.count(0) != len(out) - out.count(0)):
         raise InternalInconsistencyError(
             f"character product {lam} x {mu} is not Weyl-invariant")
-    read = list(map(sub, _run_sums(out, plus, plus_ends), _run_sums(out, minus, minus_ends)))
+    partial = list(accumulate(map(mul, map(out.__getitem__, run), signs), initial=0))
+    read = list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
     if min(read) < 0:
         n_nu, nu = next((n, nu) for n, nu in zip(read, nus) if n < 0)
         raise InternalInconsistencyError(

@@ -19,7 +19,8 @@ Three walks are memoized: :func:`canonical_from_word` per (root system, word), t
 of ``affine._dot`` per (root system, word, integral weight) and :func:`_dominant` per (root
 system, coordinates).  A word is a key only as a tuple of ``int`` letters (:func:`_is_key`).  Any
 other word, a list or one with a bool letter (equal to its int and hashed alike), is walked and
-checked on every call, so no entry answers for a word that the walk refuses.
+checked on every call, so no entry answers for a word that the walk refuses; a word that is no
+sequence is refused by :func:`_letters` before any letter is read.
 """
 
 from __future__ import annotations
@@ -79,12 +80,20 @@ def _is_key(word) -> bool:
     return type(word) is tuple and all(map(_int_letter, word))
 
 
+def _letters(word):
+    """The letters of ``word``, last first: the one check that a word is a sequence."""
+    try:
+        return reversed(word)
+    except TypeError:
+        raise DomainError(f"Weyl word {word!r} is not a sequence of letters") from None
+
+
 def _apply_word(rs: RootSystem, word, coords) -> list:
     """Apply s_{word[0]} ... s_{word[-1]} to coords (rightmost letter first),
     checking that each letter is a simple index of ``rs``."""
     n = len(rs.simple_roots)
     out = list(coords)
-    for i in reversed(word):
+    for i in _letters(word):
         if not _int_letter(i):
             raise DomainError(f"Weyl word {tuple(word)} has letter {i!r}, which is not an int")
         if not 0 <= i < n:
@@ -138,7 +147,7 @@ def apply(rs: RootSystem, w: WeylElement, lam, *, shifted: bool = False) -> Weig
 def canonical_from_word(rs: RootSystem, word) -> WeylElement:
     """Canonicalize an arbitrary (not necessarily reduced) word: the letters
     of the dominant walk of ``w(rho)``, memoized when ``word`` is a key."""
-    return (_canonical if _is_key(word) else _canonical.__wrapped__)(rs, tuple(word))
+    return (_canonical if _is_key(word) else _canonical.__wrapped__)(rs, word)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -148,12 +157,12 @@ def _canonical(rs: RootSystem, word: tuple) -> WeylElement:
 
 def compose(rs: RootSystem, w: WeylElement, v: WeylElement) -> WeylElement:
     """The product w v (w applied after v)."""
-    word = (*_as_instance(w, WeylElement, "w").word, *_as_instance(v, WeylElement, "v").word)
-    return canonical_from_word(rs, word)
+    w, v = _as_instance(w, WeylElement, "w").word, _as_instance(v, WeylElement, "v").word
+    return canonical_from_word(rs, (*_letters(v), *_letters(w))[::-1])  # w's letters, then v's
 
 
 def inverse(rs: RootSystem, w: WeylElement) -> WeylElement:
-    return canonical_from_word(rs, tuple(reversed(_as_instance(w, WeylElement, "w").word)))
+    return canonical_from_word(rs, tuple(_letters(_as_instance(w, WeylElement, "w").word)))
 
 
 def reflection_in_root(rs: RootSystem, alpha) -> WeylElement:

@@ -536,6 +536,15 @@ def test_bad_word_letter_is_domain_error(fn, valid, param):
 
 
 @pytest.mark.parametrize("fn,valid,param", [
+    cell for cell in _element_cells() if cell.values[0] is not affine.translation_lattice_coords])
+def test_non_sequence_word_is_domain_error(fn, valid, param):
+    # a word that is no sequence is refused before any letter is read
+    for word in (5, None):
+        with pytest.raises(DomainError, match=rf"^Weyl word {word} is not a sequence of letters$"):
+            _spoiled(fn, valid, param, _element_with(param, WeylElement(word)))
+
+
+@pytest.mark.parametrize("fn,valid,param", [
     cell for cell in _element_cells() if cell.values[2] not in ("w", "v")])
 def test_wrong_rank_translation_is_domain_error_naming_the_argument(fn, valid, param):
     name = SPOILED.get(param, (None, param))[1]

@@ -305,7 +305,7 @@ def test_every_pair_at_the_edge_of_the_fork_matches_the_brauer_reference(monkeyp
     # a stray cell: in the box of [0,0] x [1,1] but no weight of V_[1,1]
     (A2, [0, 0], [1, 1], (0, 2), 1, "not Weyl-invariant"),
     # a lost weight that keeps the symmetry: chi_2 - e^0 reads N_0 = -1
-    (A1, [0], [2], (1,), 0, "multiplicity -1"),
+    (A1, [0], [2], (1,), 0, r"^read-off multiplicity -1 < 0 for \[0\] in \[0\] x \[2\]$"),
 ])
 def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, drop, mult, match):
     # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``;
@@ -343,11 +343,13 @@ def test_one_character_is_packed_per_strides_and_limb():
     # V_[1,0] of A2 in four products: two boxes whose masses fit byte limbs and
     # two that need 16-bit limbs.  Each (strides, limb) packs it once, as the
     # integer of the full box, and the oracle reads every product right.
-    lam = Weight([1, 0])
-    finchar._packed.cache_clear()
+    lam, laid = Weight([1, 0]), set()
+    for cache in (finchar._packed, finchar._product_plan, finchar._flat_orbit):
+        cache.cache_clear()
     for mu, limb in [([1, 0], "B"), ([2, 2], "B"), ([4, 4], "H"), ([4, 3], "H")]:
         mu = Weight(mu)
-        strides, cells = finchar._product_plan(A2, lam + mu)[:2]
+        strides, cells, nus = finchar._product_plan(A2, lam + mu)[:3]
+        laid.update((nu, strides) for nu in nus)
         assert _as_plain(finchar.tensor_oracle(A2, lam, mu)) == \
             oracles.tensor_reference(A2.cartan, lam, mu)
         box = array.array(limb, bytes(cells * array.array(limb).itemsize))
@@ -360,6 +362,12 @@ def test_one_character_is_packed_per_strides_and_limb():
         assert finchar._packed.cache_info().hits == hits + 1
     # [1,0] packed under four (strides, limb) keys, each other factor once
     assert finchar._packed.cache_info().currsize == 7
+    # each W.nu of the four plans laid flat once per strides: drop . strides per weight
+    info = finchar._flat_orbit.cache_info()
+    assert info.currsize == info.misses == len(laid)
+    for nu, strides in laid:
+        assert finchar._flat_orbit(A2, nu, strides) == tuple(
+            sum(map(mul, map(int, root_coords(A2, nu - x)), strides)) for x, _ in finchar._orbit(A2, nu))
 
 
 @pytest.mark.parametrize("rs,lam,mu", [
