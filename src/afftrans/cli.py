@@ -414,8 +414,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     group.add_argument("--k", help="unshifted level; converted by adding "
                                    "the dual Coxeter number")
 
-    every = None if only is None else "{%s}" % ",".join(_COMMANDS)  # the usage's list of names
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
     for name, (policy, help_text, arguments, _) in _COMMANDS.items():
         if only not in (None, name):
             continue

@@ -5,7 +5,8 @@ and tensor-product decomposition by the signed-reflection (Racah) rule; when
 ``lam_i + min_i >= 0`` for every ``i`` (``min_i`` the least coordinate ``i`` over
 the weights nu of the smaller factor V_mu) nothing reflects, and the answer is
 ``{lam + nu: m_mu(nu)}``.  ``tensor_oracle`` cross-checks it along an independent
-path: multiply the two characters, each packed once into a cached integer, then
+path: multiply the two characters, each packed once into a cached integer of
+little-endian ``struct`` cells (format ``<{n}{limb}``, one layout on every host), then
 read the Weyl character formula off the product, one signed run of cells per nu.
 
 All arithmetic is exact, in integers (the form scaled by ``RootSystem.form_den``) and the
@@ -18,13 +19,11 @@ multiplicities, and the ``min_i``.  The walks' weights become ``Weight``s unchec
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import prod
 from operator import add, le, mul, sub
-from struct import calcsize
+from struct import calcsize, pack, unpack
 
 from . import weyl
 from .errors import DimensionCapError, InternalInconsistencyError
@@ -44,7 +43,7 @@ def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
 
 def _check_mass(rs: RootSystem, lam: Weight, mu: Weight, mass: int) -> None:
     if mass != _dim(rs, lam) * _dim(rs, mu):
-        raise InternalInconsistencyError(f"tensor mass mismatch for {lam} x {mu}")
+        raise InternalInconsistencyError(f"tensor mass mismatch for {lam} x {mu} on {rs.spec}")
 
 
 @lru_cache(maxsize=4096)
@@ -208,12 +207,12 @@ def tensor_decompose(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict
         out = dict(sorted((_trusted(c - 1 for c in x), v) for x, v in shifted.items() if v))
         if any(v < 0 for v in out.values()):
             raise InternalInconsistencyError(
-                f"negative tensor multiplicity for {lam} x {mu}")
+                f"negative tensor multiplicity for {lam} x {mu} on {rs.spec}")
     _check_mass(rs, lam, mu, sum(v * _dim(rs, nu) for nu, v in out.items()))
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=16384)
 def _flat_orbit(rs: RootSystem, nu: Weight, strides: tuple) -> tuple:
     """drop . ``strides`` for each weight of :func:`_orbit`: flat offsets from the orbit's head."""
     return tuple(sum(map(mul, d, strides)) for _, d in _orbit(rs, nu))
@@ -252,27 +251,18 @@ def _product_plan(rs: RootSystem, top: Weight) -> tuple:
             tuple(heads), tuple(run), tuple(signs), tuple(ends))
 
 
-def _byteswapped(data, limb: str) -> array:
-    """The ``limb`` cells of the buffer ``data``, the bytes of each reversed."""
-    cells = array(limb, bytes(data))
-    cells.byteswap()
-    return cells
-
-
 @lru_cache(maxsize=4096)
 def _packed(rs: RootSystem, lam: Weight, strides: tuple, limb: str) -> int:
     """V_lam's character as one integer: each mult a ``limb`` cell at flat index drop . ``strides``,
-    up to the largest drop, read little-endian on any host: sum m * 2**(8 * limb size * flat)."""
+    up to the largest drop, packed as the little-endian ``struct`` format ``<{cells}{limb}`` (B, H,
+    I, Q of 1, 2, 4, 8 bytes) on every host: sum m * 2**(8 * limb size * flat)."""
     *columns, mults = _character(rs, lam)[1]
-    limbs = memoryview(bytearray((sum(map(mul, map(max, columns), strides)) + 1)
-                                 * calcsize(limb))).cast(limb)
+    cells = [0] * (sum(map(mul, map(max, columns), strides)) + 1)
     flat = repeat(0)  # drop . strides, summed one column of drops at a time
     for column, stride in zip(columns, strides):
         flat = map(add, flat, map(mul, column, repeat(stride)))
-    any(map(limbs.__setitem__, flat, mults))  # drains the map; each call gives None
-    if sys.byteorder == "big":
-        limbs = _byteswapped(limbs, limb)
-    return int.from_bytes(limbs, "little")
+    any(map(cells.__setitem__, flat, mults))  # drains the map; each call gives None
+    return int.from_bytes(pack(f"<{len(cells)}{limb}", *cells), "little")
 
 
 def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
@@ -280,13 +270,15 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
 
     One integer multiply convolves the two characters (Kronecker
     substitution: each cell is a limb at its flat index in the product box,
-    as wide as the product of the two characters' masses needs).  The
-    product must be Weyl-invariant, and N_nu = sum_w eps(w) mult(nu + rho -
-    w(rho)) must be >= 0 at every dominant nu, else an inconsistency error.
-    Besides the dimension product, ``cap`` bounds the cells of the product
-    box, which is refused before it is allocated.  Each factor's integer
-    comes from :func:`_packed`; the invariance check and the read-off are
-    C-level passes over the cached flat layout of :func:`_product_plan`.
+    as wide as the product of the two characters' masses needs); the product
+    is read back in the little-endian ``struct`` format ``<{cells}{limb}`` on
+    every host.  The product must be Weyl-invariant, and N_nu = sum_w eps(w)
+    mult(nu + rho - w(rho)) must be >= 0 at every dominant nu, else an
+    inconsistency error.  Besides the dimension product, ``cap`` bounds the
+    cells of the product box, which is refused before it is allocated.  Each
+    factor's integer comes from :func:`_packed`; the invariance check and the
+    read-off are C-level passes over the cached flat layout of
+    :func:`_product_plan`.
     """
     lam = _as_weight(rs, lam, dominant=True)
     mu = _as_weight(rs, mu, dominant=True)
@@ -296,25 +288,23 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
     if cells_in_box > cap:
         raise DimensionCapError(f"product box of {cells_in_box} cells exceeds cap {cap}")
     largest = prod(sum(_character(rs, wt)[1][-1]) for wt in (lam, mu))  # bounds every cell
-    limb = next((f for f in "BHIQ" if largest >> 8 * calcsize(f) == 0), None)
+    limb = next((f for f in "BHIQ" if largest >> 8 * calcsize("<" + f) == 0), None)
     if limb is None:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
-    size = cells_in_box * calcsize(limb)
     product = _packed(rs, lam, strides, limb) * _packed(rs, mu, strides, limb)
-    cells = product.to_bytes(size, "little")
-    out = (_byteswapped(cells, limb) if sys.byteorder == "big"
-           else memoryview(cells).cast(limb)).tolist()
+    form = f"<{cells_in_box}{limb}"
+    out = list(unpack(form, product.to_bytes(calcsize(form), "little")))  # a list: its [] maps faster
     # Weyl-invariant iff every orbit below the top is constant and together
     # they hold every nonzero cell of the box.
     values = list(map(out.__getitem__, orbit_cells))
     if (list(map(values.__getitem__, heads)) != values
             or len(values) - values.count(0) != len(out) - out.count(0)):
         raise InternalInconsistencyError(
-            f"character product {lam} x {mu} is not Weyl-invariant")
+            f"character product {lam} x {mu} on {rs.spec} is not Weyl-invariant")
     partial = list(accumulate(map(mul, map(out.__getitem__, run), signs), initial=0))
     read = list(map(sub, map(partial.__getitem__, ends[1:]), map(partial.__getitem__, ends)))
     if min(read) < 0:
         n_nu, nu = next((n, nu) for n, nu in zip(read, nus) if n < 0)
         raise InternalInconsistencyError(
-            f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu}")
+            f"read-off multiplicity {n_nu} < 0 for {nu} in {lam} x {mu} on {rs.spec}")
     return dict(sorted(zip(compress(nus, read), compress(read, read))))

@@ -133,6 +133,7 @@ def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level, cap: in
     if survivors != {expected: 1}:
         raise InternalInconsistencyError(
             f"{'Verma translation' if verma else 'translation'} of {start} to the class of {lam} "
+            f"on {rs.spec} at level {level} "
             f"has survivors {{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
             f"expected {{{expected}:1}}")
     return expected

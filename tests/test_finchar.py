@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import random
 import sys
 from fractions import Fraction
 from operator import mul
+from struct import calcsize, pack
 
 import pytest
 from hypothesis import given, settings
@@ -299,13 +299,14 @@ def test_every_pair_at_the_edge_of_the_fork_matches_the_brauer_reference(monkeyp
 
 @pytest.mark.parametrize("rs,lam,mu,drop,mult,match", [
     # a lost weight: the top orbit empties at the top but not elsewhere
-    (A2, [1, 1], [1, 0], (0, 0), 0, "not Weyl-invariant"),
+    (A2, [1, 1], [1, 0], (0, 0), 0,
+     r"^character product \[1,1\] x \[1,0\] on A2 is not Weyl-invariant$"),
     # a doubled weight: every orbit keeps its cells, one orbit is uneven
     (A1, [0], [2], (2,), 2, "not Weyl-invariant"),
     # a stray cell: in the box of [0,0] x [1,1] but no weight of V_[1,1]
     (A2, [0, 0], [1, 1], (0, 2), 1, "not Weyl-invariant"),
     # a lost weight that keeps the symmetry: chi_2 - e^0 reads N_0 = -1
-    (A1, [0], [2], (1,), 0, r"^read-off multiplicity -1 < 0 for \[0\] in \[0\] x \[2\]$"),
+    (A1, [0], [2], (1,), 0, r"^read-off multiplicity -1 < 0 for \[0\] in \[0\] x \[2\] on A1$"),
 ])
 def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, drop, mult, match):
     # chi_mu's cell at ``drop`` (root coordinates of mu - x) is set to ``mult``;
@@ -323,6 +324,14 @@ def test_oracle_self_check_catches_a_wrong_character(monkeypatch, rs, lam, mu, d
     monkeypatch.setattr(finchar, "_packed", finchar._packed.__wrapped__)
     with pytest.raises(InternalInconsistencyError, match=match):
         finchar.tensor_oracle(rs, Weight(lam), Weight(mu))
+
+
+def test_a_negative_fold_names_the_root_system(monkeypatch):
+    # a signed sum below 0 is caught before the mass check, with every input in its text
+    monkeypatch.setattr(finchar, "_fold", lambda *args: iter([((1, 1), -1)]))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^negative tensor multiplicity for \[1,0\] x \[0,1\] on A2$"):
+        finchar.tensor_decompose(A2, [1, 0], [0, 1])
 
 
 @pytest.mark.parametrize("mult,fits", [(2 ** 32 - 1, True), (2 ** 32, False)])
@@ -352,12 +361,10 @@ def test_one_character_is_packed_per_strides_and_limb():
         laid.update((nu, strides) for nu in nus)
         assert _as_plain(finchar.tensor_oracle(A2, lam, mu)) == \
             oracles.tensor_reference(A2.cartan, lam, mu)
-        box = array.array(limb, bytes(cells * array.array(limb).itemsize))
+        box = [0] * cells
         for x, m in finchar.weight_multiplicities(A2, lam).items():
             box[sum(map(mul, map(int, root_coords(A2, lam - x)), strides))] = m
-        if sys.byteorder == "big":
-            box.byteswap()  # the packed integer reads little-endian limbs on any host
-        hits, full_box = finchar._packed.cache_info().hits, box.tobytes()
+        hits, full_box = finchar._packed.cache_info().hits, pack(f"<{cells}{limb}", *box)
         assert finchar._packed(A2, lam, strides, limb) == int.from_bytes(full_box, "little")
         assert finchar._packed.cache_info().hits == hits + 1
     # [1,0] packed under four (strides, limb) keys, each other factor once
@@ -379,13 +386,30 @@ def test_packed_character_is_its_arithmetic_integer(rs, lam, mu):
     strides = finchar._product_plan(rs, lam + mu)[0]
     mults = finchar.weight_multiplicities(rs, lam)
     for limb in "BHIQ":
-        bits = 8 * array.array(limb).itemsize
+        bits = 8 * calcsize("<" + limb)
         expected = sum(m << bits * sum(map(mul, map(int, root_coords(rs, lam - x)), strides))
                        for x, m in mults.items())
         assert finchar._packed(rs, lam, strides, limb) == expected
-    # a big-endian host reverses the bytes of each limb before reading
-    assert finchar._byteswapped(b"\x01\x02", "H").tolist() == \
-        [int.from_bytes(b"\x02\x01", sys.byteorder)]
+
+
+@pytest.mark.parametrize("rs,lam,mu,limb", [
+    (A2, [4, 4], [4, 3], "H"), (A2, [6, 6], [6, 6], "I"), (A1, [0], [0], "Q")])
+def test_oracle_reads_the_same_cells_on_a_big_endian_host(monkeypatch, rs, lam, mu, limb):
+    # the host's byte order is never read: with it set to big-endian, products
+    # in 16- and 32-bit limbs match tensor_decompose, and the 64-bit case of
+    # the cell-width test keeps its one cell (every character packed afresh)
+    lam, mu = Weight(lam), Weight(mu)
+    if limb == "Q":
+        mult = 2 ** 32 - 1
+        monkeypatch.setattr(finchar, "_character", lambda rs, wt: ((), ((0,), (mult,)), (0,)))
+        want = {lam: mult * mult}
+    else:
+        want = finchar.tensor_decompose(rs, lam, mu)
+    limbs, packed = [], finchar._packed.__wrapped__
+    monkeypatch.setattr(finchar, "_packed", lambda *args: limbs.append(args[-1]) or packed(*args))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert finchar.tensor_oracle(rs, lam, mu) == want
+    assert limbs == [limb, limb]
 
 
 def test_oracle_never_walks_to_the_dominant_chamber(monkeypatch):

@@ -75,7 +75,7 @@ CACHES = {
     "affine._theta_reflection": None,
     "finchar._character": 4096,
     "finchar._dim": 4096,
-    "finchar._flat_orbit": 4096,
+    "finchar._flat_orbit": 16384,
     "finchar._orbit": 4096,
     "finchar._packed": 4096,
     "finchar._product_plan": 4096,

@@ -812,7 +812,19 @@ def test_translations_check_the_mass_of_every_term(monkeypatch, translation):
     assert translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
     monkeypatch.setattr(finchar, "_character", one_multiplicity_off)
     with pytest.raises(InternalInconsistencyError,
-                       match=r"^tensor mass mismatch for \[1,0\] x \[3,3\]$"):
+                       match=r"^tensor mass mismatch for \[1,0\] x \[3,3\] on A2$"):
+        translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
+
+
+@pytest.mark.parametrize("translation,name", [
+    (translate.translate_weyl, "translation"), (translate.translate_verma, "Verma translation")])
+def test_a_wrong_survivor_names_the_root_system_and_the_level(monkeypatch, translation, name):
+    # a survivor search that doubles g.lam is caught, and its text carries every input
+    g = affine.theta_wall_reflection(A2, P5)
+    monkeypatch.setattr(translate, "_survivors", lambda *args: {Weight([3, 2]): 2})
+    with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
+            f"{name} of [3,3] to the class of [1,0] on A2 at level 5/1 "
+            "has survivors {[3,2]:2}, expected {[3,2]:1}") + "$"):
         translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
 
 
