@@ -293,7 +293,7 @@ def tensor_oracle(rs: RootSystem, lam, mu, *, cap: int = DEFAULT_CAP) -> dict:
         raise DimensionCapError(f"dimension product {largest} overflows a 64-bit cell")
     product = _packed(rs, lam, strides, limb) * _packed(rs, mu, strides, limb)
     form = f"<{cells_in_box}{limb}"
-    out = list(unpack(form, product.to_bytes(calcsize(form), "little")))  # a list: its [] maps faster
+    out = list(unpack(form, product.to_bytes(calcsize(form), "little")))  # a list indexes faster
     # Weyl-invariant iff every orbit below the top is constant and together
     # they hold every nonzero cell of the box.
     values = list(map(out.__getitem__, orbit_cells))
