@@ -3,8 +3,8 @@
 Submodules of a Weyl module are tracked only through the labels of their
 singular generators: affine Weyl group elements whose dot image of the base
 weight is dominant.  Transport re-bases a label set along the translation
-functor, generator by generator, re-deriving each image through the
-survivor search of :mod:`translate`.
+functor, generator by generator, certifying each image by the survivor
+search of :mod:`translate`, which runs once per (mu, lam, level).
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def transport(rs: RootSystem, labels: SubmoduleLabels, lam, *,
 
     Every generator is pushed through :func:`translate.translate_weyl` under ``cap``
     (``finchar.DEFAULT_CAP``, which this layer loads only to transport), so each image
-    is certified by its single-survivor check; a failure there propagates as an
-    internal-inconsistency error.  The generator set itself is carried over
+    is certified by the single-survivor check, searched once per (mu, lam, level) and so
+    once for (0, ``lam``); a failure there propagates as an internal-inconsistency error.  The generator set itself is carried over
     unchanged, so inclusions of label sets are preserved verbatim.
     """
     return _transport(rs, labels, lam, cap)[0]

@@ -41,6 +41,11 @@ def _guard(rs: RootSystem, lam: Weight, mu: Weight, cap: int) -> None:
             f"dimension product {product} exceeds cap {cap}")
 
 
+def _guard_dim(rs: RootSystem, lam: Weight, cap: int) -> None:
+    if _dim(rs, lam) > _as_instance(cap, int, "cap"):
+        raise DimensionCapError(f"dimension {_dim(rs, lam)} exceeds cap {cap}")
+
+
 def _check_mass(rs: RootSystem, lam: Weight, mu: Weight, mass: int) -> None:
     if mass != _dim(rs, lam) * _dim(rs, mu):
         raise InternalInconsistencyError(f"tensor mass mismatch for {lam} x {mu} on {rs.spec}")
@@ -166,8 +171,7 @@ def weight_multiplicities(rs: RootSystem, lam, *, cap: int = DEFAULT_CAP) -> dic
     Returns {weight: multiplicity} over the full (Weyl-symmetric) support.
     """
     lam = _as_weight(rs, lam, dominant=True)
-    if _dim(rs, lam) > _as_instance(cap, int, "cap"):
-        raise DimensionCapError(f"dimension {_dim(rs, lam)} exceeds cap {cap}")
+    _guard_dim(rs, lam, cap)
     return dict(_character(rs, lam)[0])
 
 

@@ -3,8 +3,8 @@
 A translation step is Jantzen's ``pr_lam(V_tau x -)``, with V_tau the module
 whose extreme weight is the dominant representative of ``lam - mu``.  On
 labels it sends ``g . mu`` to ``g . lam``; every public operation that claims
-this re-derives it by one survivor search over the weights of V_tau and
-refuses to answer if the survivor is not unique.
+this reads one cached survivor search over the weights of V_tau, run once per
+(mu, lam, level), and refuses to answer if the survivor is not unique.
 
 Characters over a linkage class are stored in the Weyl basis: a base weight
 strictly inside the fundamental alcove plus integer coefficients keyed by
@@ -13,6 +13,7 @@ canonical affine Weyl group elements.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, sub
 
 from . import affine, finchar, weyl
@@ -85,34 +86,29 @@ def project_linkage(rs: RootSystem, parts: dict, target, level: Level) -> dict:
             if linked(tuple(_as_weight(rs, nu, "key", integral=True)))}
 
 
-def _survivors(rs: RootSystem, tau: Weight, start: Weight, target, p: int, cap: int,
-               verma: bool) -> dict:
-    """``pr_target(V_tau x V_start)``, of ``V_tau x M_start`` when ``verma``, by sorted weight:
-    start + nu for each weight nu of V_tau (folded by :func:`finchar._fold` unless ``verma``),
-    summed only if linked to ``target`` (closed alcove at ``p``).  The mass counts every term."""
-    if verma:
-        terms = ((tuple(map(add, start, x)), m)
-                 for x, m in finchar.weight_multiplicities(rs, tau, cap=cap).items())
-    else:
-        finchar._guard(rs, tau, start, cap)
-        terms = ((tuple(map(sub, x, rs.rho)), m) for x, m in finchar._fold(rs, start, tau))
-    linked, kept, mass = _linked_to(rs, target, p), {}, 0
-    for x, m in terms:
-        mass += m * finchar._dim(rs, x)
-        if linked(x):
-            kept[x] = kept.get(x, 0) + m
-    finchar._check_mass(rs, tau, start, mass)
-    return {_trusted(x): m for x, m in sorted(kept.items()) if m}
+@lru_cache(maxsize=4096)
+def _survivors(rs: RootSystem, tau: Weight, start: Weight, target, p: int) -> tuple:
+    """``pr_target(V_tau x M_start)`` as (weight, mult) pairs by sorted weight: start + nu for
+    each weight nu of V_tau, kept only if linked to ``target`` (closed alcove at ``p``).  The mass
+    counts every term.  Cached, so a tuple: :func:`_translate` reads it at ``start = mu``, once
+    per (mu, lam, level)."""
+    terms = [(tuple(map(add, start, nu)), m) for nu, m in finchar._character(rs, tau)[0]]
+    finchar._check_mass(rs, tau, start, sum(m * finchar._dim(rs, x) for x, m in terms))
+    linked = _linked_to(rs, target, p)
+    return tuple((_trusted(x), m) for x, m in terms if linked(x))
 
 
 def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
                    level: Level, *, cap: int = finchar.DEFAULT_CAP) -> Weight:
     """Image of the Weyl-module label ``g . mu`` under translation to ``lam``.
 
-    Returns ``g . lam`` only after re-deriving it: the part of the tensor
-    product linked to ``lam`` must be exactly that label, with multiplicity
-    one.  Each argument is checked once: ``mu``, ``lam``,
-    then ``g`` (lattice, then letters), then the dominance of ``g . mu``.
+    Returns ``g . lam`` only once it is certified: the part of ``V_tau x M_mu``
+    linked to ``lam`` must be exactly ``lam``, with multiplicity one.  Since
+    ``g . mu + nu = g . (mu + w^-1 nu)`` for ``g = t w``, that certifies
+    ``{g . lam: 1}`` at every label (Jantzen, RAG II.7), so the search runs once
+    per (mu, lam, level).  Each argument is checked once: ``mu``, ``lam``, then
+    ``g`` (lattice, then letters), then the dominance of ``g . mu``, then ``cap``
+    against the dimension product of V_tau and V_{g . mu}.
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)
@@ -122,21 +118,25 @@ def translate_weyl(rs: RootSystem, g: AffineWeylElement, mu, lam,
 def _translate(rs: RootSystem, g, mu: Weight, lam: Weight, level: Level, cap: int,
                verma: bool = False) -> Weight:
     """:func:`translate_weyl` (:func:`translate_verma` when ``verma``) for checked ``mu``, ``lam``:
-    ``g . lam``, once ``{g . lam: 1}`` is all that :func:`_survivors` keeps."""
+    the per-label checks, then ``g . lam`` once the certificate that :func:`_survivors` keeps,
+    once per (mu, lam, level), is ``{lam: 1}``."""
     g = affine._as_group_element(rs, g, level)
     start = affine._dot(rs, g, mu)
     if not (verma or start.is_dominant):
         raise DomainError(f"g.mu {start} is not dominant integral")
-    expected = affine._dot(rs, g, lam)
     tau = weyl._dominant(rs, tuple(map(sub, lam, mu)))
-    survivors = _survivors(rs, tau, start, lam, level.p, cap, verma)
-    if survivors != {expected: 1}:
+    if verma:
+        finchar._guard_dim(rs, tau, cap)
+    else:
+        finchar._guard(rs, tau, start, cap)
+    survivors = _survivors(rs, tau, mu, lam, level.p)
+    if survivors != ((lam, 1),):
         raise InternalInconsistencyError(
-            f"{'Verma translation' if verma else 'translation'} of {start} to the class of {lam} "
+            f"{'Verma translation' if verma else 'translation'} of {mu} to the class of {lam} "
             f"on {rs.spec} at level {level} "
-            f"has survivors {{{', '.join(f'{k}:{v}' for k, v in survivors.items())}}}, "
-            f"expected {{{expected}:1}}")
-    return expected
+            f"has survivors {{{', '.join(f'{k}:{v}' for k, v in survivors)}}}, "
+            f"expected {{{lam}:1}}")
+    return affine._dot(rs, g, lam)
 
 
 def verify_weight_geometry(rs: RootSystem, lam, mu, g: AffineWeylElement,
@@ -255,8 +255,9 @@ def translate_verma(rs: RootSystem, g: AffineWeylElement, mu, lam,
     """Image of the Verma label ``g . mu`` under translation to ``lam``.
 
     Unlike :func:`translate_weyl` there is no dominance requirement on
-    ``g . mu``; the survivor search keeps the weights ``g . mu + nu`` of
-    ``V_tau x M_{g . mu}`` that lie in the full dot orbit of ``lam``, unfolded.
+    ``g . mu``, and ``cap`` bounds dim V_tau alone.  The answer is certified by
+    the same survivor search, once per (mu, lam, level): the weights ``mu + nu``
+    of ``V_tau x M_mu`` in the full dot orbit of ``lam``, unfolded, must be ``{lam: 1}``.
     """
     mu = _as_alcove_weight(rs, mu, level, "mu", regular=True)
     lam = _as_alcove_weight(rs, lam, level, "lam", regular=True)

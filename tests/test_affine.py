@@ -661,7 +661,8 @@ def test_int_contract_rows_are_valid_calls():
 @pytest.mark.parametrize("fn,valid,param", [
     pytest.param(fn, valid, param, id=fn.__name__) for fn, valid, param in INT_CONTRACT])
 def test_non_int_count_is_domain_error_naming_the_argument(fn, valid, param):
-    bads = [(True, "a bool"), (10.5, "a float"), ("20", "a str"), (Fraction(10), "a Fraction")]
+    bads = [(True, "a bool"), (10.5, "a float"), ("20", "a str"), (Fraction(10), "a Fraction"),
+            ([10], "a list")]  # [10]: unhashable, so no count reaches a cache key
     if (fn, param) not in NO_LIMIT:
         bads.append((None, "a NoneType"))
     for bad, found in bads:

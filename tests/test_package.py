@@ -81,6 +81,7 @@ CACHES = {
     "finchar._product_plan": 4096,
     "finchar._root_data": None,
     "rootsys._build_root_system": None,
+    "translate._survivors": 4096,
     "weyl._canonical": 4096,
     "weyl._dominant": 4096,
     "weyl._order": None,

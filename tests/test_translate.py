@@ -735,7 +735,7 @@ def test_translate_weyl_lands_on_the_dot_image(data):
 
 
 # ---------------------------------------------------------------------------
-# the survivor search pr_target(V_tau x -) against the filtration it replaced,
+# the survivor search pr_target(V_tau x M_start) against the filtration it replaced,
 # projected onto the target's class
 
 SURVIVOR_CAP = 3000
@@ -748,9 +748,9 @@ def _closed_alcove(rs, level):
             if affine.in_fundamental_alcove(rs, c, level, strict=False)]
 
 
-def _projected_filtration(rs, tau, start, target, level, verma):
+def _projected_filtration(rs, tau, start, target, level, verma, cap=SURVIVOR_CAP):
     parts = (translate.verma_filtration if verma else translate.kl_weyl_filtration)(
-        rs, tau, start, cap=SURVIVOR_CAP)
+        rs, tau, start, cap=cap)
     if affine.in_fundamental_alcove(rs, target, level):
         return translate.project_linkage(rs, parts, target, level)
     # a target on a wall, which project_linkage refuses
@@ -762,25 +762,21 @@ def _projected_filtration(rs, tau, start, target, level, verma):
 def test_survivor_search_is_the_projected_filtration(data):
     rs = root_system(data.draw(st.sampled_from(DOT_TYPES)))
     level = Level(data.draw(st.integers(rs.dual_coxeter + 1, rs.dual_coxeter + 5)), 1)
-    verma = data.draw(st.booleans())
-    coords = st.lists(st.integers(-4 if verma else 0, 4), min_size=rs.rank, max_size=rs.rank)
+    coords = st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank)
     tau = Weight(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
     start = Weight(data.draw(coords))
     # half inside the alcove, half from the closed alcove, where most points lie on a wall
     target = data.draw(st.sampled_from(affine.enumerate_dominant(rs, level))
                        | st.sampled_from(_closed_alcove(rs, level)))
-    try:
-        expected = _projected_filtration(rs, tau, start, target, level, verma)
-    except DimensionCapError as refusal:
-        with pytest.raises(DimensionCapError, match=f"^{re.escape(str(refusal))}$"):
-            translate._survivors(rs, tau, start, target, level.p, SURVIVOR_CAP, verma)
-        return
-    got = translate._survivors(rs, tau, start, tuple(target), level.p, SURVIVOR_CAP, verma)
-    assert list(got.items()) == list(expected.items())
+    # the search has no cap (its callers guard it), so the reference may not refuse either
+    expected = _projected_filtration(rs, tau, start, target, level, True, cap=10 ** 5)
+    got = translate._survivors(rs, tau, start, tuple(target), level.p)
+    assert list(got) == list(expected.items())
 
 
 @pytest.mark.parametrize("verma,target,kept", [
-    # V_[2] x V_[4] = V_[2] + V_[4] + V_[6] on A1 at 5/1
+    # V_[2] x V_[4] = V_[2] + V_[4] + V_[6] on A1 at 5/1: the per-label reference of
+    # the Weyl translation, which the differential below compares with the certificate
     (False, [2], {Weight([2]): 1, Weight([6]): 1}),
     (False, [4], {Weight([4]): 1}),  # on the wall (x + rho, theta) = p
     (False, [0], {}),
@@ -790,41 +786,126 @@ def test_survivor_search_is_the_projected_filtration(data):
     (True, [2], {Weight([2]): 1})])
 def test_survivor_search_keeps_several_one_or_no_terms(verma, target, kept):
     start = Weight([0]) if verma else Weight([4])
-    got = translate._survivors(A1, Weight([2]), start, tuple(target), 5, SURVIVOR_CAP, verma)
-    assert got == kept == _projected_filtration(A1, Weight([2]), start, Weight(target), P5, verma)
+    assert _projected_filtration(A1, Weight([2]), start, Weight(target), P5, verma) == kept
+    if verma:
+        assert dict(translate._survivors(A1, Weight([2]), start, tuple(target), 5)) == kept
+
+
+# ---------------------------------------------------------------------------
+# one certificate per (mu, lam, level) against the per-label search it replaced
+
+CERTIFIED_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]
+
+
+@functools.cache
+def _certified_configs():
+    """(rs, level, regular weights) at p = h^vee + 1 .. h^vee + 4, where a weight is regular."""
+    out = []
+    for name in CERTIFIED_TYPES:
+        rs = root_system(name)
+        for p in range(rs.dual_coxeter + 1, rs.dual_coxeter + 5):
+            regular = annihilator.admissible_list(rs, Level(p, 1))
+            if regular:
+                out.append((rs, Level(p, 1), regular))
+    return out
+
+
+@functools.cache
+def _labels(rs, mu, level):
+    """The elements g with g . mu dominant and (g . mu + rho, theta) <= 2p."""
+    return [g for g, _ in affine.dominant_orbit(rs, mu, level, bound=2 * level.p)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_translations_answer_exactly_where_the_per_label_search_certifies(data):
+    rs, level, regular = data.draw(st.sampled_from(_certified_configs()))
+    mu, lam = data.draw(st.sampled_from(regular)), data.draw(st.sampled_from(regular))
+    verma = data.draw(st.booleans())
+    if verma:
+        translation = translate.translate_verma
+        g = data.draw(_affine_elements(rs, level, _simple_coroots(rs)))
+    else:
+        translation = translate.translate_weyl
+        g = data.draw(st.sampled_from(_labels(rs, mu, level)))
+    tau, start = translate.translation_weight(rs, lam, mu), affine.affine_apply(rs, g, mu, level)
+    try:
+        expected = _projected_filtration(rs, tau, start, lam, level, verma)
+    except DimensionCapError as refusal:
+        with pytest.raises(DimensionCapError, match=f"^{re.escape(str(refusal))}$"):
+            translation(rs, g, mu, lam, level, cap=SURVIVOR_CAP)
+        return
+    image = affine.affine_apply(rs, g, lam, level)
+    if expected == {image: 1}:
+        assert translation(rs, g, mu, lam, level, cap=SURVIVOR_CAP) == image
+    else:
+        with pytest.raises(InternalInconsistencyError):
+            translation(rs, g, mu, lam, level, cap=SURVIVOR_CAP)
+
+
+def test_one_certificate_serves_every_label_of_a_pair(monkeypatch):
+    folds, real_fold = [], finchar._fold
+    monkeypatch.setattr(finchar, "_fold", lambda *args: folds.append(args) or real_fold(*args))
+    translate._survivors.cache_clear()
+    zero, lam = Weight([0, 0]), Weight([1, 0])
+    g = affine.theta_wall_reflection(A2, P5)  # sends 0 to [3,3]
+    assert translate.translate_weyl(A2, affine.identity_element(2), zero, lam, P5) == lam
+    assert translate.translate_weyl(A2, g, zero, lam, P5) == Weight([3, 2])
+    info = translate._survivors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert translate.translate_verma(A2, g, zero, lam, P5) == Weight([3, 2])
+    labels = annihilator.make_labels(A2, zero, [g], P5)
+    assert annihilator.transport(A2, labels, lam).base == lam
+    info = translate._survivors.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert folds == []
+    finchar.tensor_decompose(A2, [1, 0], [0, 1])  # the fold's one caller still reaches it
+    assert folds
+
+
+@pytest.fixture
+def fresh_certificates():
+    """An empty certificate cache, before and after: a test that spoils the search
+    leaves nothing it certified behind."""
+    translate._survivors.cache_clear()
+    yield
+    translate._survivors.cache_clear()
 
 
 @pytest.mark.parametrize("translation", [translate.translate_weyl, translate.translate_verma])
-def test_translations_check_the_mass_of_every_term(monkeypatch, translation):
-    # V_[1,0] x V_[3,3] (or M_[3,3]) on A2 at 5/1 keeps only [3,2] in the class of
-    # [1,0]; the term [4,3], from the weight [1,0] of V_tau, is not linked, so
-    # doubling that multiplicity leaves the survivors alone and only the mass
-    # check sees it
+def test_translations_check_the_mass_of_every_term(monkeypatch, fresh_certificates, translation):
+    # the certificate for 0 -> [1,0] on A2 at 5/1 searches V_[1,0] x M_[0,0]; giving
+    # V_tau the weight 0 with multiplicity 1 (not 0) adds the term [0,0], of dimension 1,
+    # which is not in the class of [1,0], so the survivors stay {[1,0]: 1} and only the
+    # mass check sees it
     real = finchar._character
 
     def one_multiplicity_off(rs_, wt):
         pairs, cells, lows = real(rs_, wt)
         if wt == Weight([1, 0]):
-            pairs = tuple((x, m + (x == wt)) for x, m in pairs)
+            pairs = tuple(sorted((*pairs, (Weight([0, 0]), 1))))
         return pairs, cells, lows
 
     g = affine.theta_wall_reflection(A2, P5)
     assert translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5) == Weight([3, 2])
     monkeypatch.setattr(finchar, "_character", one_multiplicity_off)
+    translate._survivors.cache_clear()
     with pytest.raises(InternalInconsistencyError,
-                       match=r"^tensor mass mismatch for \[1,0\] x \[3,3\] on A2$"):
+                       match=r"^tensor mass mismatch for \[1,0\] x \[0,0\] on A2$"):
         translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
 
 
 @pytest.mark.parametrize("translation,name", [
     (translate.translate_weyl, "translation"), (translate.translate_verma, "Verma translation")])
-def test_a_wrong_survivor_names_the_root_system_and_the_level(monkeypatch, translation, name):
-    # a survivor search that doubles g.lam is caught, and its text carries every input
+def test_a_wrong_survivor_names_the_root_system_and_the_level(monkeypatch, fresh_certificates,
+                                                              translation, name):
+    # a search that links every term keeps all three weights of V_[1,0] x M_[0,0]; the
+    # certificate is caught, and its text carries every input
     g = affine.theta_wall_reflection(A2, P5)
-    monkeypatch.setattr(translate, "_survivors", lambda *args: {Weight([3, 2]): 2})
+    monkeypatch.setattr(translate, "_linked_to", lambda *args: lambda coords: True)
     with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
-            f"{name} of [3,3] to the class of [1,0] on A2 at level 5/1 "
-            "has survivors {[3,2]:2}, expected {[3,2]:1}") + "$"):
+            f"{name} of [0,0] to the class of [1,0] on A2 at level 5/1 "
+            "has survivors {[-1,1]:1, [0,-1]:1, [1,0]:1}, expected {[1,0]:1}") + "$"):
         translation(A2, g, Weight([0, 0]), Weight([1, 0]), P5)
 
 
